@@ -77,7 +77,7 @@ def run_naive(problem, initial, moves):
         old_i = int(cache.part[j])
         cache.part[j] = i
         cache.capacity.apply_move(j, old_i, i)
-        cache.delta = cache._full_delta()
+        cache.delta = cache.all_move_deltas()
         cache.timing_block = cache._full_timing_block()
     elapsed = time.perf_counter() - t0
     return elapsed, cache.delta

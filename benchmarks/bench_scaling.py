@@ -1,22 +1,24 @@
 #!/usr/bin/env python
-"""Scaling benchmark: batched vs scalar move-evaluation kernels.
+"""Scaling benchmark: the batched move scan against its scalar oracle.
 
 Sweeps synthetic clustered workloads over a grid of problem sizes
 (``N`` components x ``K`` partitions) and, for every cell, replays the
-same deterministic move sequence through both kernels of
+same deterministic move sequence twice through
 :class:`repro.engine.delta.DeltaCache`:
 
-* **batched** - :meth:`scan_move_deltas` is one
+* **batched** - each full candidate scan is one
   :meth:`all_move_deltas` call (whole-array sparse products), the
-  default production path,
-* **scalar** - the per-component :meth:`move_deltas` reference loop.
+  production path,
+* **scalar** - each scan is a loop over the per-component
+  :meth:`move_deltas` reference oracle.
 
+Both replays apply their moves through the same :meth:`apply_move`.
 Each replay step performs a full candidate scan, records the selected
 candidate (flat argmin - the deterministic tie-break shared with
 :meth:`DeltaCache.best_move`), then applies the next scripted move.
-The two kernels must agree on every selection, on the final maintained
-state, and on every ``delta.*`` stats counter; divergence aborts the
-benchmark.
+The two scans must select identical candidates with matching scan
+checksums, and both finished caches must pass :meth:`audit`;
+divergence aborts the benchmark.
 
 The output is a ``bench-scaling-v1`` JSON document (canonically named
 ``BENCH_scaling.json``) that ``scripts/check_bench.py`` can gate
@@ -37,11 +39,11 @@ import argparse
 import json
 import time
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.delta import KERNEL_MODES, DeltaCache
+from repro.engine.delta import DeltaCache
 from repro.core.problem import PartitioningProblem
 from repro.eval.workloads import cluster_reference
 from repro.netlist.generate import ClusteredCircuitSpec, generate_clustered_circuit
@@ -101,53 +103,61 @@ def move_sequence(problem, initial, moves: int, rng) -> List[Tuple[int, int]]:
     return sequence
 
 
-def run_kernel(problem, initial, moves, kernel: str):
-    """Replay ``moves`` with full candidate scans through one kernel.
+def scalar_scan(cache: DeltaCache) -> np.ndarray:
+    """The full candidate scan as a loop over the reference oracle."""
+    out = np.empty((cache.n, cache.m))
+    for j in range(cache.n):
+        out[j, :] = cache.move_deltas(j)
+    return out
+
+
+SCANS: Dict[str, Callable[[DeltaCache], np.ndarray]] = {
+    "batched": DeltaCache.all_move_deltas,
+    "scalar": scalar_scan,
+}
+"""The two full-scan implementations the sweep times, by output key."""
+
+
+def run_kernel(problem, initial, moves, scan: Callable[[DeltaCache], np.ndarray]):
+    """Replay ``moves`` with a full candidate scan before each move.
 
     Returns ``(elapsed_seconds, picks, scan_sums, cache)``: the argmin
-    candidate chain, a per-scan checksum, and the finished cache for
-    state comparison.
+    candidate chain, a per-scan checksum, and the finished cache.
     """
-    cache = DeltaCache(problem, initial, kernel=kernel)
+    cache = DeltaCache(problem, initial)
     picks: List[int] = []
     sums: List[float] = []
     t0 = time.perf_counter()
     for j, i in moves:
-        scan = cache.scan_move_deltas()
-        picks.append(int(np.argmin(scan)))
-        sums.append(float(scan.sum()))
+        values = scan(cache)
+        picks.append(int(np.argmin(values)))
+        sums.append(float(values.sum()))
         cache.apply_move(j, i)
     elapsed = time.perf_counter() - t0
     return elapsed, picks, sums, cache
 
 
 def assert_equivalent(results: Dict[str, tuple], cell: str) -> None:
-    """Cross-kernel equivalence: selections, state, and counters agree."""
+    """Both scans select the same candidates; both caches pass audit()."""
     (_, picks_b, sums_b, cache_b) = results["batched"]
     (_, picks_s, sums_s, cache_s) = results["scalar"]
     if picks_b != picks_s:
-        raise AssertionError(f"{cell}: kernels selected different candidates")
+        raise AssertionError(f"{cell}: scans selected different candidates")
     if not np.allclose(sums_b, sums_s, rtol=0, atol=1e-8):
         raise AssertionError(f"{cell}: scan checksums diverged")
-    if not np.allclose(cache_b.delta, cache_s.delta, rtol=0, atol=1e-8):
-        raise AssertionError(f"{cell}: final delta matrices diverged")
-    if not np.array_equal(cache_b.timing_block, cache_s.timing_block):
-        raise AssertionError(f"{cell}: timing blocks diverged")
-    if not np.array_equal(cache_b.part, cache_s.part):
-        raise AssertionError(f"{cell}: assignments diverged")
-    if cache_b.stats.as_dict() != cache_s.stats.as_dict():
-        raise AssertionError(f"{cell}: delta.* counters diverged")
+    cache_b.audit()
+    cache_s.audit()
 
 
 def run_cell(n: int, k: int, moves: int) -> Dict[str, object]:
-    """Benchmark one ``(N, K)`` cell through every kernel."""
+    """Benchmark one ``(N, K)`` cell through both scans."""
     problem, reference = build_cell_problem(n, k, seed=SEED)
     sequence = move_sequence(
         problem, reference, moves, np.random.default_rng(SEED + n + k)
     )
     results = {
-        kernel: run_kernel(problem, reference, sequence, kernel)
-        for kernel in KERNEL_MODES
+        kernel: run_kernel(problem, reference, sequence, scan)
+        for kernel, scan in SCANS.items()
     }
     assert_equivalent(results, f"n={n} k={k}")
     kernels = {
@@ -196,7 +206,7 @@ def run_sweep(
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Batched vs scalar kernel scaling sweep."
+        description="Batched move scan vs its scalar oracle: scaling sweep."
     )
     parser.add_argument(
         "--sizes", type=int, nargs="+", default=list(DEFAULT_SIZES),

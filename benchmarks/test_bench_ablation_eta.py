@@ -10,7 +10,7 @@ wire representation.
 import pytest
 
 from repro.core.objective import ObjectiveEvaluator
-from repro.solvers.burkard import ETA_MODES, solve_qbp
+from repro.solvers.qbp import ETA_MODES, solve_qbp
 
 CIRCUIT = "cktb"
 

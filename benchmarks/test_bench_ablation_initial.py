@@ -10,7 +10,7 @@ greedy starts and compares outcomes.
 import pytest
 
 from repro.core.objective import ObjectiveEvaluator
-from repro.solvers.burkard import solve_qbp
+from repro.solvers.qbp import solve_qbp
 from repro.solvers.greedy import greedy_feasible_assignment
 
 CIRCUIT = "cktb"

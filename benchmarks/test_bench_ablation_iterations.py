@@ -11,7 +11,7 @@ roughly linearly.
 import pytest
 
 from repro.core.objective import ObjectiveEvaluator
-from repro.solvers.burkard import solve_qbp
+from repro.solvers.qbp import solve_qbp
 
 CIRCUIT = "cktb"
 SWEEP = [5, 25, 100]

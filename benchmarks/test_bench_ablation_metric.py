@@ -15,7 +15,7 @@ from repro.baselines.gfm import gfm_partition
 from repro.baselines.gkl import gkl_partition
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.problem import PartitioningProblem
-from repro.solvers.burkard import solve_qbp
+from repro.solvers.qbp import solve_qbp
 from repro.solvers.greedy import greedy_feasible_assignment
 from repro.topology.grid import grid_topology
 

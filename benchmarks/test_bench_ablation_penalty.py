@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.constraints import check_feasibility
 from repro.core.objective import ObjectiveEvaluator
-from repro.solvers.burkard import resolve_penalty, solve_qbp
+from repro.solvers.qbp import resolve_penalty, solve_qbp
 
 CIRCUIT = "cktb"
 PENALTIES = ["paper", None, "theorem1"]

@@ -9,7 +9,7 @@ incumbent).  Quantifies what the enhancement buys on dense instances.
 import pytest
 
 from repro.core.objective import ObjectiveEvaluator
-from repro.solvers.burkard import solve_qbp
+from repro.solvers.qbp import solve_qbp
 
 CIRCUIT = "cktb"
 MODES = [True, False]

@@ -30,7 +30,7 @@ import pytest
 from repro.eval.harness import shared_initial_solution
 from repro.eval.workloads import build_workload
 from repro.obs.telemetry import Telemetry, use_telemetry
-from repro.solvers.burkard import solve_qbp
+from repro.solvers.qbp import solve_qbp
 
 CIRCUIT = "cktb"
 ITERATIONS = 10

@@ -12,7 +12,7 @@ from repro.baselines.gkl import gkl_partition
 from repro.core.constraints import check_feasibility
 from repro.core.objective import ObjectiveEvaluator
 from repro.eval.workloads import workload_names
-from repro.solvers.burkard import solve_qbp
+from repro.solvers.qbp import solve_qbp
 
 CIRCUITS = workload_names()
 

@@ -26,7 +26,7 @@ from repro.baselines.gfm import gfm_partition
 from repro.baselines.gkl import gkl_partition
 from repro.eval.harness import shared_initial_solution
 from repro.eval.workloads import build_workload
-from repro.solvers.burkard import solve_qbp, solve_qbp_multistart
+from repro.solvers.qbp import solve_qbp, solve_qbp_multistart
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parent.parent

@@ -23,7 +23,7 @@ from repro.netlist.generate import ClusteredCircuitSpec, generate_clustered_circ
 from repro.runtime.budget import Budget, BudgetExceededError
 from repro.runtime.checkpoint import QbpCheckpointer
 from repro.runtime.supervisor import SolverSupervisor
-from repro.solvers.burkard import bootstrap_initial_solution, solve_qbp
+from repro.solvers.qbp import bootstrap_initial_solution, solve_qbp
 from repro.timing.constraints import TimingConstraints
 from repro.topology.grid import grid_topology
 

@@ -22,7 +22,7 @@ def solve_as_generalized_assignment(problem: PartitioningProblem) -> GapResult:
 
     Requires ``beta == 0`` (or no wires) and no timing constraints, i.e.
     exactly the Section 2.2.2 special case; raises ``ValueError``
-    otherwise - use :func:`repro.solvers.burkard.solve_qbp` for the
+    otherwise - use :func:`repro.solvers.qbp.solve_qbp` for the
     general problem.
     """
     if problem.has_timing:

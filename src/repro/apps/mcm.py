@@ -24,7 +24,7 @@ from repro.core.assignment import Assignment
 from repro.core.constraints import check_feasibility
 from repro.core.problem import PartitioningProblem
 from repro.netlist.circuit import Circuit
-from repro.solvers.burkard import BurkardResult, solve_qbp
+from repro.solvers.qbp import BurkardResult, solve_qbp
 from repro.timing.constraints import TimingConstraints
 from repro.topology.partition import Topology
 from repro.utils.rng import RandomSource
@@ -80,7 +80,7 @@ def repartition_mcm(
     linear cost and solves it with the generalized Burkard heuristic in
     ``"diagonal"`` eta mode (a pure-linear objective must charge
     candidates their own diagonal cost; see
-    :func:`repro.solvers.burkard.solve_qbp`).
+    :func:`repro.solvers.qbp.solve_qbp`).
 
     The designer's ``initial`` may violate C1 and C2 - that is the
     point - so the solver starts from its own feasible construction.

@@ -1,7 +1,7 @@
 """The unified solver result type (:class:`SolveOutcome`).
 
 Every solver entry point in this repository returns a subclass of
-:class:`SolveOutcome`: :class:`repro.solvers.burkard.BurkardResult` and
+:class:`SolveOutcome`: :class:`repro.solvers.qbp.BurkardResult` and
 :class:`repro.baselines.result.InterchangeResult` both converge on it,
 so downstream consumers (``eval/harness.py``, ``tools/partition.py``,
 result folding in ``repro.parallel``) can treat any solver's outcome

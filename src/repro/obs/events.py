@@ -70,7 +70,7 @@ class IterationEvent:
 
 @dataclass(frozen=True)
 class RestartEvent:
-    """One restart boundary in :func:`~repro.solvers.burkard.solve_qbp_multistart`."""
+    """One restart boundary in :func:`~repro.solvers.qbp.solve_qbp_multistart`."""
 
     solver: str
     index: int

@@ -20,7 +20,7 @@ Three cooperating pieces (see ``docs/PARALLEL.md``):
   ``repro.tools.traceview`` and ``scripts/check_trace.py`` consume a
   merged multi-process trace unchanged in shape.
 
-Consumers: ``repro.solvers.burkard.solve_qbp_multistart`` fans restarts
+Consumers: ``repro.solvers.qbp.solve_qbp_multistart`` fans restarts
 out, ``repro.eval.harness.run_table`` fans circuit rows out, and both
 CLIs expose ``--workers``.
 """

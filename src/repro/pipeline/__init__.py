@@ -57,7 +57,7 @@ from repro.pipeline.initial import (
 # Re-exported helpers for registry-level consumers (the layering rule
 # keeps eval/tools/service from importing solver packages directly, but
 # the ablation runner still needs these solver-stack utilities).
-from repro.solvers.burkard import resolve_penalty
+from repro.solvers.qbp import resolve_penalty
 from repro.solvers.greedy import greedy_feasible_assignment
 
 def get_solver(name: str) -> SolverSpec:

@@ -34,7 +34,7 @@ from repro.pipeline.configs import (
     SpectralConfig,
 )
 from repro.runtime.budget import STOP_COMPLETED, STOP_STALLED
-from repro.solvers.burkard import solve_qbp, solve_qbp_multistart
+from repro.solvers.qbp import solve_qbp, solve_qbp_multistart
 from repro.solvers.exact import solve_exact
 
 

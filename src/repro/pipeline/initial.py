@@ -29,7 +29,7 @@ from repro.runtime.supervisor import (
     SolverSupervisor,
     SupervisorExhaustedError,
 )
-from repro.solvers.burkard import bootstrap_initial_solution
+from repro.solvers.qbp import bootstrap_initial_solution
 from repro.solvers.greedy import greedy_feasible_assignment
 from repro.solvers.repair import repair_feasibility
 from repro.utils.rng import RandomSource

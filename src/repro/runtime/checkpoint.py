@@ -2,7 +2,7 @@
 
 Two layers use this module:
 
-* :func:`repro.solvers.burkard.solve_qbp` periodically snapshots its
+* :func:`repro.solvers.qbp.solve_qbp` periodically snapshots its
   full iteration state (:class:`QbpCheckpoint`: iteration counter,
   current/incumbent/shadow parts, the accumulated ``h`` vector, cost
   history, and the RNG state) through a :class:`QbpCheckpointer`.

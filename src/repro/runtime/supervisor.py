@@ -16,8 +16,8 @@ exception types are absorbed - programming errors propagate immediately.
 
 Used by:
 
-* ``repro.solvers.burkard._solve_gap_graceful`` - inner GAP ladder,
-* ``repro.solvers.burkard.bootstrap_initial_solution`` - bootstrap
+* ``repro.solvers.qbp.iteration._solve_gap_graceful`` - inner GAP ladder,
+* ``repro.solvers.qbp.bootstrap_initial_solution`` - bootstrap
   attempts,
 * ``repro.eval.harness.shared_initial_solution`` - bootstrap with the
   reference assignment as the last resort,

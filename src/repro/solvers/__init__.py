@@ -6,7 +6,7 @@
 * :mod:`repro.solvers.lap` - an auction solver for Linear Assignment
   Problems, the inner subproblem of the original (QAP) Burkard
   heuristic (Section 2.2.3),
-* :mod:`repro.solvers.burkard` - the paper's main contribution: the
+* :mod:`repro.solvers.qbp` - the paper's main contribution: the
   generalized/enhanced Burkard heuristic with sparse on-demand ``Q``
   evaluation (Sections 4.2-4.3),
 * :mod:`repro.solvers.greedy` - initial capacity-feasible constructors
@@ -15,7 +15,7 @@
   solvers for small instances (used to validate the embedding theorems).
 """
 
-from repro.solvers.burkard import (
+from repro.solvers.qbp import (
     BurkardResult,
     bootstrap_initial_solution,
     resolve_penalty,

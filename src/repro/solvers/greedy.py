@@ -5,7 +5,7 @@ The generalized Burkard heuristic needs a starting point ``u(1) in S``
 *fully* feasible (capacity + timing) start.  This module provides the
 capacity-feasible constructors; the paper's timing bootstrap ("use the
 QBP algorithm with matrix B set to all zeros") lives in
-:func:`repro.solvers.burkard.bootstrap_initial_solution`, which builds on
+:func:`repro.solvers.qbp.bootstrap_initial_solution`, which builds on
 these.
 """
 

@@ -128,13 +128,81 @@ def solve_qbp(
     checkpointer: Optional[QbpCheckpointer] = None,
     resume: Optional[QbpCheckpoint] = None,
     telemetry: Optional[Telemetry] = None,
-    kernel: Optional[str] = None,
 ) -> BurkardResult:
     """Run the generalized Burkard heuristic on ``problem``.
 
-    See :mod:`repro.solvers.burkard` for the full parameter
-    documentation (this module keeps the implementation; the facade
-    keeps the user-facing reference).
+    STEP 1-8 of the paper's Section 4.2 as generalized in Section 4.3
+    (see :mod:`repro.solvers.qbp`); returns the best iterate seen.
+
+    Parameters
+    ----------
+    iterations:
+        The paper's ``N_iterations`` (100 in its experiments).  More
+        iterations never worsen the returned solution.
+    penalty:
+        Timing-violation penalty; see :func:`resolve_penalty` (``None``
+        auto-scales, ``"paper"`` is the fixed 50, ``"theorem1"`` the exact
+        embedding constant).
+    eta_mode:
+        How STEP 3 treats the ``Q_hat`` diagonal (the linear costs):
+        ``"burkard"`` is the paper's pseudocode verbatim (the diagonal
+        enters only where ``u`` is 1, which blinds a pure-linear problem,
+        and only the in-edge column sums are seen - faithful when ``A``
+        is symmetric as in the paper's examples); ``"diagonal"`` always
+        charges a candidate its own linear cost; ``"symmetric"``
+        (default) additionally sums the transposed (out-going) half of
+        ``Q_hat`` - the full marginal cost, equivalent to the paper's
+        behaviour on a symmetrised ``A`` and strictly better when wires
+        are stored one-directionally.
+    initial:
+        A capacity-feasible start (``u(1) in S``).  ``None`` builds one
+        with :func:`repro.solvers.greedy.greedy_feasible_assignment`
+        (the paper notes "QBP can start from any random solution").
+    seed:
+        Randomness for the initial construction and iterate repair; the
+        core iteration itself is deterministic.
+    repair_iterates:
+        Timing-problem enhancement: evaluate, alongside each raw STEP 6
+        iterate, its projection onto the feasible region.  The MTHG
+        inner solver assigns components one at a time against partners
+        anchored at ``u(k)``, so on densely timing-constrained problems
+        its reassignments systematically carry a small residue of mutual
+        violations that the penalty cannot express per-item; the
+        projection (:func:`repro.solvers.repair.feasible_merge` from the
+        feasible incumbent toward the iterate) closes that gap at
+        O(N * degree) cost.  No-op on timing-free problems.
+    repair_moves:
+        Move budget for the targeted min-conflicts repair of promising
+        iterates (those whose raw cost beats the feasible incumbent);
+        the cheap merge projection has no budget to tune.
+    callback:
+        Called as ``callback(k, assignment, penalized_cost)`` after each
+        iteration (for progress reporting / live ablation traces).  A
+        raising callback is demoted to a single logged warning and then
+        disabled - it never destroys the run or its incumbent.  New code
+        should prefer the typed event stream (``telemetry``), which the
+        callback hook is now an adapter over.
+    budget:
+        Optional :class:`repro.runtime.budget.Budget`.  Checked at the
+        top of every iteration and inside the inner GAP solves; on
+        expiry/cancellation the best incumbent so far is returned with
+        ``stop_reason`` set accordingly.
+    checkpointer:
+        Optional :class:`repro.runtime.checkpoint.QbpCheckpointer`.
+        Snapshots the full iteration state (including the RNG state)
+        every ``checkpointer.every`` iterations and at budget-forced
+        stops, so a killed run can resume bit-exactly.
+    resume:
+        A :class:`repro.runtime.checkpoint.QbpCheckpoint` to continue
+        from (``initial`` is then ignored).  A resumed run reproduces
+        the uninterrupted run exactly on the same problem and seed.
+    telemetry:
+        Optional :class:`~repro.obs.telemetry.Telemetry`; ``None`` uses
+        the ambient instance.  When enabled, the solve runs inside a
+        ``qbp.solve`` span, every iteration emits an
+        :class:`~repro.obs.events.IterationEvent` and bumps the
+        ``solver.iterations`` counter, and the inner GAP ladder reports
+        fallbacks.  Telemetry never alters the computation.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -157,7 +225,7 @@ def solve_qbp(
     rng = ctx.rng
     evaluator = ctx.evaluator
     pen_value = resolve_penalty(problem, penalty)
-    state = IterationState(problem, evaluator, pen_value, eta_mode, kernel=kernel)
+    state = IterationState(problem, evaluator, pen_value, eta_mode)
 
     n, m = problem.num_components, problem.num_partitions
     sizes = problem.sizes()
@@ -242,7 +310,6 @@ def solve_qbp(
         "qbp.solve",
         iterations=effective_iterations,
         eta_mode=eta_mode,
-        kernel=state.kernel.kernel,
         components=n,
         partitions=m,
         resumed=resume is not None,

@@ -10,7 +10,7 @@ capacity-feasible partition that minimises its violated-constraint
 count, with seeded random restarts out of local minima.
 
 This composes with (not replaces) the paper's bootstrap; see
-:func:`repro.solvers.burkard.bootstrap_initial_solution`.
+:func:`repro.solvers.qbp.bootstrap_initial_solution`.
 """
 
 from __future__ import annotations

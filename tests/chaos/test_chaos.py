@@ -29,7 +29,7 @@ from repro.runtime.faults import (
     parse_fault_plan,
     plan_from_env,
 )
-from repro.solvers.burkard import solve_qbp_multistart
+from repro.solvers.qbp import solve_qbp_multistart
 
 needs_fork = pytest.mark.skipif(
     not supports_process_pool(), reason="platform lacks fork"

@@ -1,18 +1,17 @@
-"""The move-evaluation kernel switch (REPRO_KERNEL batched|scalar)."""
+"""The batched move-evaluation path against its reference oracle.
+
+``DeltaCache`` maintains its state with whole-array kernels; the
+per-component ``move_deltas(j)`` / ``_timing_block_row(j)`` are kept as
+the oracle those kernels (and ``audit()``) are checked against.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.assignment import Assignment
 from repro.core.problem import PartitioningProblem
-from repro.engine.delta import (
-    KERNEL_ENV,
-    KERNEL_MODES,
-    DeltaCache,
-    resolve_kernel,
-)
+from repro.engine.delta import DeltaCache
 from repro.netlist.circuit import Circuit
 from repro.timing.constraints import TimingConstraints
 from repro.topology.grid import grid_topology
@@ -38,105 +37,49 @@ def initial(problem):
     return Assignment(part, problem.num_partitions)
 
 
-class TestResolveKernel:
-    def test_explicit_values(self):
-        assert resolve_kernel("batched") == "batched"
-        assert resolve_kernel("scalar") == "scalar"
-
-    def test_normalises_case_and_whitespace(self):
-        assert resolve_kernel("  Batched ") == "batched"
-        assert resolve_kernel("SCALAR") == "scalar"
-
-    def test_default_is_batched(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert resolve_kernel() == "batched"
-
-    def test_env_var_is_read(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "scalar")
-        assert resolve_kernel() == "scalar"
-
-    def test_empty_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "")
-        assert resolve_kernel() == "batched"
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "scalar")
-        assert resolve_kernel("batched") == "batched"
-
-    def test_invalid_value_names_the_env_var(self):
-        with pytest.raises(ValueError, match=KERNEL_ENV):
-            resolve_kernel("vectorised")
-
-    def test_invalid_env_value_raises(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "gpu")
-        with pytest.raises(ValueError, match="gpu"):
-            resolve_kernel()
+def reference_scan(cache):
+    """The full ``(N, M)`` move-delta matrix from the per-component oracle."""
+    return np.array([cache.move_deltas(j) for j in range(cache.n)])
 
 
 class TestDeltaCacheKernel:
-    def test_cache_records_resolved_mode(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        problem = small_problem()
-        assert DeltaCache(problem, initial(problem)).kernel == "batched"
-        assert (
-            DeltaCache(problem, initial(problem), kernel="scalar").kernel
-            == "scalar"
-        )
-
-    def test_cache_reads_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "scalar")
-        problem = small_problem()
-        assert DeltaCache(problem, initial(problem)).kernel == "scalar"
-
-    def test_scan_dispatch_matches_across_kernels(self):
-        problem = small_problem()
-        caches = {
-            k: DeltaCache(problem, initial(problem), kernel=k)
-            for k in KERNEL_MODES
-        }
-        scans = {k: c.scan_move_deltas() for k, c in caches.items()}
-        assert np.allclose(scans["batched"], scans["scalar"], atol=1e-8)
-        assert np.allclose(scans["batched"], caches["batched"].delta, atol=1e-8)
+    def test_all_move_deltas_matches_reference(self):
+        cache = DeltaCache(small_problem(), initial(small_problem()))
+        scan = cache.all_move_deltas()
+        assert np.allclose(scan, reference_scan(cache), atol=1e-8)
+        assert np.allclose(scan, cache.delta, atol=1e-8)
 
     def test_replay_keeps_state_and_stats_identical(self):
         problem = small_problem()
-        caches = {
-            k: DeltaCache(problem, initial(problem), kernel=k)
-            for k in KERNEL_MODES
-        }
+        cache = DeltaCache(problem, initial(problem))
         rng = np.random.default_rng(7)
+        moved = 0
         for _ in range(12):
             j = int(rng.integers(0, problem.num_components))
             i = int(rng.integers(0, problem.num_partitions))
-            deltas = {k: c.apply_move(j, i) for k, c in caches.items()}
-            assert abs(deltas["batched"] - deltas["scalar"]) < 1e-8
-        b, s = caches["batched"], caches["scalar"]
-        assert np.allclose(b.delta, s.delta, atol=1e-8)
-        assert np.array_equal(b.timing_block, s.timing_block)
-        assert np.array_equal(b.part, s.part)
-        assert np.allclose(b.loads, s.loads)
-        # Counter accounting is mode-independent: the bench gate relies
-        # on delta.* counters not changing with the kernel switch.
-        assert b.stats.as_dict() == s.stats.as_dict()
-        b.audit()
-        s.audit()
+            expected = float(cache.move_deltas(j)[i])
+            moved += i != int(cache.part[j])
+            assert abs(cache.apply_move(j, i) - expected) < 1e-8
+            cache.audit()
+        stats = cache.stats.as_dict()
+        assert stats["moves"] == moved
+        assert stats["full_rebuilds"] == 1
+        assert stats["row_refreshes"] >= moved
 
     def test_best_move_identical_across_kernels(self):
         problem = small_problem()
-        caches = {
-            k: DeltaCache(problem, initial(problem), kernel=k)
-            for k in KERNEL_MODES
-        }
+        cache = DeltaCache(problem, initial(problem))
         locked = np.zeros(problem.num_components, dtype=bool)
         for _ in range(3):
-            moves = {k: c.best_move(locked) for k, c in caches.items()}
-            assert (moves["batched"] is None) == (moves["scalar"] is None)
-            if moves["batched"] is None:
+            move = cache.best_move(locked)
+            mask = cache.feasible_move_mask(locked)
+            if move is None:
+                assert not mask.any()
                 break
-            jb, ib, db = moves["batched"]
-            js, is_, ds = moves["scalar"]
-            assert (jb, ib) == (js, is_)
-            assert abs(db - ds) < 1e-8
-            for cache in caches.values():
-                cache.apply_move(jb, ib)
-            locked[jb] = True
+            scores = np.where(mask, reference_scan(cache), np.inf)
+            j, i, delta = move
+            assert (j, i) == divmod(int(np.argmin(scores)), problem.num_partitions)
+            assert abs(delta - scores[j, i]) < 1e-8
+            cache.apply_move(j, i)
+            cache.audit()
+            locked[j] = True

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines.result import InterchangeResult
 from repro.core.assignment import Assignment
 from repro.engine.outcome import SolveOutcome
-from repro.solvers.burkard import BurkardResult
+from repro.solvers.qbp import BurkardResult
 
 
 def base(**kw):

@@ -13,7 +13,7 @@ from repro.eval.harness import SolverTimings, build_workload, run_circuit_experi
 from repro.obs.telemetry import DISABLED, Telemetry, current
 from repro.runtime.checkpoint import QbpCheckpointer
 from repro.runtime.faults import FaultPlan, inject_faults
-from repro.solvers.burkard import (
+from repro.solvers.qbp import (
     bootstrap_initial_solution,
     solve_qbp,
     solve_qbp_multistart,
@@ -88,7 +88,7 @@ class TestMultistartEvents:
         def bad_callback(iteration, assignment, cost):
             raise RuntimeError("telemetry test callback")
 
-        with caplog.at_level(logging.WARNING, logger="repro.solvers.burkard"):
+        with caplog.at_level(logging.WARNING, logger="repro.solvers.qbp.iteration"):
             solve_qbp_multistart(
                 small_problem, restarts=3, iterations=4, seed=0,
                 callback=bad_callback,

@@ -8,7 +8,7 @@ import pytest
 from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.parallel.pool import supports_process_pool
 from repro.runtime.faults import FaultPlan, InjectedFault, inject_faults
-from repro.solvers.burkard import MultistartError, solve_qbp_multistart
+from repro.solvers.qbp import MultistartError, solve_qbp_multistart
 
 needs_fork = pytest.mark.skipif(
     not supports_process_pool(), reason="platform lacks fork"
@@ -195,7 +195,7 @@ class TestIntegrityGate:
 
     def test_verifier_accepts_honest_results(self, small_problem):
         from repro.solvers.qbp.multistart import multistart_verifier
-        from repro.solvers.burkard import solve_qbp
+        from repro.solvers.qbp import solve_qbp
 
         result = solve_qbp(small_problem, iterations=8, seed=4)
         multistart_verifier(small_problem)(result, payload=None)  # no raise
@@ -205,7 +205,7 @@ class TestIntegrityGate:
 
         from repro.parallel.retry import IntegrityError
         from repro.solvers.qbp.multistart import multistart_verifier
-        from repro.solvers.burkard import solve_qbp
+        from repro.solvers.qbp import solve_qbp
 
         result = solve_qbp(small_problem, iterations=8, seed=4)
         tampered = replace(result, cost=result.cost * 0.5)

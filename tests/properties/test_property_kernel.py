@@ -1,17 +1,15 @@
-"""Property-based tests: batched and scalar kernels agree (hypothesis).
+"""Property-based tests: the batched kernel matches its reference oracle.
 
-Satellite of the batched move-evaluation layer: on random problems —
-with and without timing constraints, with and without a linear cost
-term, across capacity regimes —
+On random problems — with and without timing constraints, with and
+without a linear cost term, across capacity regimes —
 
 * ``DeltaCache.all_move_deltas()`` matches the per-component
   ``move_deltas(j)`` reference element-wise,
-* ``scan_move_deltas()`` returns the same matrix under both kernels,
-* a random ``apply_move`` replay leaves batched and scalar caches with
-  identical maintained state (delta, timing block, loads, assignment)
-  and **identical** ``delta.*`` stats counters (the bench gate depends
-  on counter accounting being kernel-independent),
-* both kernels pass the ground-truth ``audit()`` afterwards.
+* a freshly built cache's ``delta`` / ``timing_block`` equal the full
+  matrices rebuilt from ``move_deltas(j)`` / ``_timing_block_row(j)``,
+* a random ``apply_move`` / ``apply_swap`` replay passes ``audit()``
+  (which rebuilds the expected state from the same oracle) after every
+  step, and again after ``reset``.
 """
 
 import numpy as np
@@ -19,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.assignment import Assignment
-from repro.engine.delta import KERNEL_MODES, DeltaCache
+from repro.engine.delta import DeltaCache
 
 from tests.properties.test_property_delta import problems, random_assignment
 
@@ -52,60 +50,44 @@ class TestAllMoveDeltasMatchesScalarReference:
     @settings(max_examples=40, deadline=None)
     @given(problems(), st.integers(0, 2**31))
     def test_scan_agrees_across_kernels(self, problem, seed):
+        """Built state equals the scalar oracle's rows, timing exactly."""
         rng = np.random.default_rng(seed)
-        a = random_assignment(problem, rng)
-        scans = {
-            kernel: DeltaCache(problem, a, kernel=kernel).scan_move_deltas()
-            for kernel in KERNEL_MODES
-        }
-        assert np.allclose(scans["batched"], scans["scalar"], atol=1e-8)
+        cache = DeltaCache(problem, random_assignment(problem, rng))
+        for j in range(problem.num_components):
+            assert np.allclose(cache.delta[j], cache.move_deltas(j), atol=1e-8)
+            assert np.array_equal(cache.timing_block[j], cache._timing_block_row(j))
 
 
 class TestReplayEquivalence:
     @settings(max_examples=30, deadline=None)
     @given(problems(), st.integers(0, 2**31), st.data())
     def test_random_replay_keeps_kernels_identical(self, problem, seed, data):
+        """audit() after every step: maintained state equals the oracle's."""
         rng = np.random.default_rng(seed)
-        a = random_assignment(problem, rng)
-        caches = {k: DeltaCache(problem, a, kernel=k) for k in KERNEL_MODES}
+        cache = DeltaCache(problem, random_assignment(problem, rng))
         moves = data.draw(st.integers(1, 8))
         for _ in range(moves):
             if rng.random() < 0.25 and problem.num_components >= 2:
                 j1, j2 = rng.choice(problem.num_components, 2, replace=False)
-                reported = {
-                    k: c.apply_swap(int(j1), int(j2)) for k, c in caches.items()
-                }
+                cache.apply_swap(int(j1), int(j2))
             else:
                 j = int(rng.integers(0, problem.num_components))
                 i = int(rng.integers(0, problem.num_partitions))
-                reported = {k: c.apply_move(j, i) for k, c in caches.items()}
-            assert abs(reported["batched"] - reported["scalar"]) < 1e-8
-        b, s = caches["batched"], caches["scalar"]
-        assert np.allclose(b.delta, s.delta, atol=1e-8)
-        assert np.array_equal(b.timing_block, s.timing_block)
-        assert np.array_equal(b.part, s.part)
-        assert np.allclose(b.loads, s.loads)
-        assert b.stats.as_dict() == s.stats.as_dict()
-        b.audit()
-        s.audit()
+                cache.apply_move(j, i)
+            cache.audit()
 
     @settings(max_examples=30, deadline=None)
     @given(problems(), st.integers(0, 2**31), st.data())
     def test_reset_resynchronises_both_kernels(self, problem, seed, data):
-        """reset() to a fresh assignment leaves both kernels exact."""
+        """reset() after a replay leaves the cache equal to the oracle."""
         rng = np.random.default_rng(seed)
-        a = random_assignment(problem, rng)
-        caches = {k: DeltaCache(problem, a, kernel=k) for k in KERNEL_MODES}
+        cache = DeltaCache(problem, random_assignment(problem, rng))
         moves = data.draw(st.integers(1, 4))
         for _ in range(moves):
             j = int(rng.integers(0, problem.num_components))
             i = int(rng.integers(0, problem.num_partitions))
-            for cache in caches.values():
-                cache.apply_move(j, i)
+            cache.apply_move(j, i)
         fresh = random_assignment(problem, rng)
-        for cache in caches.values():
-            cache.reset(Assignment(fresh.part.copy(), problem.num_partitions))
-            cache.audit()
-        assert np.allclose(
-            caches["batched"].delta, caches["scalar"].delta, atol=1e-8
-        )
+        cache.reset(Assignment(fresh.part.copy(), problem.num_partitions))
+        cache.audit()
+        assert np.allclose(cache.delta, DeltaCache(problem, fresh).delta, atol=1e-8)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.problem import PartitioningProblem
 from repro.netlist.generate import ClusteredCircuitSpec, generate_clustered_circuit
-from repro.solvers.burkard import bootstrap_initial_solution
+from repro.solvers.qbp import bootstrap_initial_solution
 from repro.solvers.greedy import greedy_feasible_assignment
 from repro.timing.constraints import synthesize_feasible_constraints
 from repro.topology.grid import grid_topology

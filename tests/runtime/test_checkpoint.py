@@ -23,7 +23,7 @@ from repro.runtime.checkpoint import (
     try_load_qbp_checkpoint,
 )
 from repro.runtime.faults import corrupt_json_file
-from repro.solvers.burkard import solve_qbp
+from repro.solvers.qbp import solve_qbp
 
 
 class TestAtomicJson:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.solvers.burkard import solve_qbp, solve_qbp_multistart
+from repro.solvers.qbp import solve_qbp, solve_qbp_multistart
 
 
 def _identical(a, b):

@@ -13,7 +13,7 @@ from repro.runtime.faults import (
     inject_faults,
     maybe_fault,
 )
-from repro.solvers.burkard import (
+from repro.solvers.qbp import (
     BootstrapStallError,
     bootstrap_initial_solution,
     solve_qbp,
@@ -163,7 +163,7 @@ class TestCheckpointWriteFaults:
     ):
         plan = FaultPlan().fail("checkpoint.write", times=None)
         ck = QbpCheckpointer(tmp_path / "qbp.json", every=1)
-        with caplog.at_level("WARNING", logger="repro.solvers.burkard"):
+        with caplog.at_level("WARNING", logger="repro.solvers.qbp.iteration"):
             with inject_faults(plan):
                 result = solve_qbp(
                     timed_problem,

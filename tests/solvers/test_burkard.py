@@ -1,4 +1,4 @@
-"""Tests for repro.solvers.burkard (the generalized Burkard heuristic)."""
+"""Tests for repro.solvers.qbp (the generalized Burkard heuristic)."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from repro.core.constraints import check_feasibility
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.problem import PartitioningProblem
 from repro.netlist.generate import ClusteredCircuitSpec, generate_clustered_circuit
-from repro.solvers.burkard import (
+from repro.solvers.qbp import (
     PAPER_PENALTY,
     bootstrap_initial_solution,
     resolve_penalty,
@@ -148,7 +148,7 @@ class TestTimingSolve:
         def explode(k, assignment, pen):
             raise RuntimeError("observer bug")
 
-        with caplog.at_level("WARNING", logger="repro.solvers.burkard"):
+        with caplog.at_level("WARNING", logger="repro.solvers.qbp.iteration"):
             result = solve_qbp(timed_problem, iterations=4, seed=0, callback=explode)
         assert result.iterations == 4  # every iteration still ran
         assert result.stop_reason == "completed"

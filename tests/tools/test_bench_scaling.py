@@ -1,4 +1,4 @@
-"""Smoke tests for the kernel scaling benchmark (benchmarks/bench_scaling.py).
+"""Smoke tests for the move-scan scaling benchmark (benchmarks/bench_scaling.py).
 
 Runs tiny sweeps so tier-1 proves the benchmark stays runnable and its
 ``bench-scaling-v1`` output stays compatible with the check_bench gate;
@@ -80,6 +80,18 @@ class TestSweep:
             "scalar": (0.2, [1, 3], [0.0, 0.0], None),
         }
         with pytest.raises(AssertionError, match="different candidates"):
+            bench_scaling.assert_equivalent(results, "n=16 k=2")
+
+    def test_drifted_cache_fails_the_final_audit(self):
+        problem, reference = bench_scaling.build_cell_problem(
+            16, 2, seed=bench_scaling.SEED
+        )
+        results = {
+            name: bench_scaling.run_kernel(problem, reference, [], scan)
+            for name, scan in bench_scaling.SCANS.items()
+        }
+        results["scalar"][3].delta[0, 1] += 1.0
+        with pytest.raises(AssertionError, match="drifted"):
             bench_scaling.assert_equivalent(results, "n=16 k=2")
 
 
