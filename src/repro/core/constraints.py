@@ -5,11 +5,13 @@ component maps to exactly one partition), so the checkers here cover C1
 and C2 and produce machine-readable violation reports used by the
 solvers, the harness's final-solution audit, and the test suite.
 
-:class:`TimingIndex` is the per-component adjacency view of a
-:class:`~repro.timing.TimingConstraints` set that the move-based solvers
-(GFM/GKL) use to answer "may component ``j`` move to partition ``i``
-without violating timing?" in time proportional to ``j``'s constraint
-degree.
+:class:`TimingIndex` is the one owner of C2 placement checks: given a
+:class:`~repro.timing.TimingConstraints` set and the delay matrix, it
+answers "how many constraints would component ``j`` violate at each
+partition?" (and the move/swap yes-or-no forms of that question) for the
+inner GAP, the feasibility repair and merge, the QBP trust region and
+:class:`~repro.engine.delta.DeltaCache`, none of which re-derives the
+rule for a candidate placement.
 """
 
 from __future__ import annotations
@@ -88,22 +90,45 @@ def check_feasibility(
 
 
 class TimingIndex:
-    """Per-component view of timing constraints for O(degree) move checks.
+    """The one place C2 is evaluated for a candidate placement.
 
     For each component ``j`` this stores the constraints in which ``j``
     participates, split into outgoing (``j`` is the source, the budget
-    bounds ``D[A(j), A(k)]``) and incoming (``j`` is the target).
+    bounds ``D[A(j), A(k)]``) and incoming (``j`` is the target).  The
+    lists serve the early-exit move/swap checks.  The vectorised queries
+    (:meth:`conflict_row`, :meth:`conflict_rows`,
+    :meth:`restrict_unplaced`) use the same constraints as one CSR
+    array of incidences grouped by component: each constraint appears
+    once under its source and once under its target.
     """
 
     def __init__(self, constraints: TimingConstraints, delay_matrix: np.ndarray) -> None:
         self.delay = np.asarray(delay_matrix, dtype=float)
         n = constraints.num_components
+        m = self.delay.shape[0]
         self.num_components = n
         self._out: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
         self._in: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
         for j1, j2, budget in constraints.items():
             self._out[j1].append((j2, budget))
             self._in[j2].append((j1, budget))
+        # Incidence e of component j has partner k, budget b and a side:
+        # 0 when j is the source, M when j is the target.  Row
+        # side + part[k] of _table is then the delay j would see from
+        # each candidate partition (D[:, part[k]] or D[part[k], :]), and
+        # row (M - side) + i the delay k would see from each partition
+        # once j sits at i.
+        src, dst, budget = constraints.arrays()
+        mover = np.concatenate((src, dst))
+        order = np.argsort(mover, kind="stable")
+        self._table = np.vstack((self.delay.T, self.delay))
+        self._partner = np.concatenate((dst, src))[order]
+        self._partner.setflags(write=False)  # partners() hands out views
+        self._side = np.repeat([0, m], src.size)[order]
+        self._budget = np.concatenate((budget, budget))[order, None]
+        self._ptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(mover, minlength=n), out=self._ptr[1:])
+        self._offsets = self._ptr.tolist()  # list: faster scalar slicing
 
     def degree(self, j: int) -> int:
         """Number of constraints touching component ``j``."""
@@ -112,6 +137,14 @@ class TimingIndex:
     def constrained_components(self) -> List[int]:
         """Components that participate in at least one constraint."""
         return [j for j in range(self.num_components) if self.degree(j) > 0]
+
+    def partners(self, j: int) -> np.ndarray:
+        """Components sharing a constraint with ``j``.
+
+        A component constrained with ``j`` in both directions appears
+        twice.
+        """
+        return self._partner[self._offsets[j] : self._offsets[j + 1]]
 
     # ------------------------------------------------------------------
     def move_is_feasible(
@@ -152,44 +185,56 @@ class TimingIndex:
                 return False
         return True
 
-    def violated_by(self, part: np.ndarray, j: int) -> int:
-        """Number of constraints touching ``j`` violated under ``part``."""
-        delay = self.delay
-        count = 0
-        for k, budget in self._out[j]:
-            if delay[part[j], part[k]] > budget:
-                count += 1
-        for k, budget in self._in[j]:
-            if delay[part[k], part[j]] > budget:
-                count += 1
-        return count
+    def conflict_row(self, part: np.ndarray, j: int) -> np.ndarray:
+        """``(M,)`` count of the constraints ``j`` would violate at each partition.
 
+        Every other component stays at ``part``; ``part[j]`` is ignored.
+        """
+        e = slice(self._offsets[j], self._offsets[j + 1])
+        seen = self._table[part[self._partner[e]] + self._side[e]]
+        return (seen > self._budget[e]).sum(axis=0)
 
-def timing_move_mask(
-    constraints: TimingConstraints, delay_matrix: np.ndarray, anchor: Sequence[int], num_partitions: int
-) -> np.ndarray:
-    """Vectorised single-move C2 feasibility against an anchor assignment.
+    def conflict_rows(self, part: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """``(R, M)`` :meth:`conflict_row` block for ``rows`` (default: all).
 
-    Returns a boolean ``(N, M)`` matrix whose ``[j, i]`` entry says:
-    with every *other* component at its ``anchor`` position, may
-    component ``j`` sit in partition ``i`` without violating any of its
-    timing constraints?  This is the matrix of "(M-1) gain entry"
-    feasibilities that GFM uses, and the trust-region mask the QBP
-    solver hands to the inner GAP.
-    """
-    part = np.asarray(anchor, dtype=int)
-    n = constraints.num_components
-    delay = np.asarray(delay_matrix, dtype=float)
-    violated = np.zeros((n, num_partitions), dtype=np.int32)
-    t_src, t_dst, t_budget = constraints.arrays()
-    if t_src.size:
-        # Mover = source of the constraint: D[i, anchor(target)] <= budget.
-        src_side = (delay.T[part[t_dst], :] > t_budget[:, None]).astype(np.int32)
-        np.add.at(violated, t_src, src_side)
-        # Mover = target of the constraint: D[anchor(source), i] <= budget.
-        dst_side = (delay[part[t_src], :] > t_budget[:, None]).astype(np.int32)
-        np.add.at(violated, t_dst, dst_side)
-    return violated == 0
+        One gather over the rows' incidences, then per-row sums as
+        differences of a running integer count, so the result equals the
+        per-row loop exactly.
+        """
+        if rows is None:
+            e, counts, ends = slice(None), np.diff(self._ptr), self._ptr[1:]
+        else:
+            rows = np.asarray(rows, dtype=np.intp)
+            starts = self._ptr[rows]
+            counts = self._ptr[rows + 1] - starts
+            ends = np.cumsum(counts)
+            # Incidence ids of every row, concatenated in row order.
+            e = np.arange(ends[-1] if ends.size else 0) + np.repeat(
+                starts - (ends - counts), counts
+            )
+        violated = self._table[np.asarray(part)[self._partner[e]] + self._side[e]] > self._budget[e]
+        running = np.zeros((violated.shape[0] + 1, violated.shape[1]), dtype=np.int32)
+        np.cumsum(violated, axis=0, out=running[1:])
+        return running[ends] - running[ends - counts]
+
+    def restrict_unplaced(
+        self, allowed: np.ndarray, assignment: np.ndarray, j: int, i: int
+    ) -> bool:
+        """Narrow the ``allowed`` rows of ``j``'s unplaced partners once ``j`` sits at ``i``.
+
+        ``allowed`` is the item-major ``(N, M)`` mask of partitions each
+        item may still take; ``assignment`` marks unplaced items with a
+        negative entry.  Returns ``False`` when some partner is left
+        with no partition.
+        """
+        e = np.arange(self._offsets[j], self._offsets[j + 1])
+        e = e[assignment[self._partner[e]] < 0]
+        ks = self._partner[e]
+        fits = self._table[self.delay.shape[0] - self._side[e] + i] <= self._budget[e]
+        # ufunc.at, not allowed[ks] &= fits: a partner constrained in
+        # both directions appears twice and must keep both masks.
+        np.logical_and.at(allowed, ks, fits)
+        return bool(allowed[ks].any(axis=1).all())
 
 
 @dataclass

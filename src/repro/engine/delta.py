@@ -1,17 +1,18 @@
 """The shared incremental-evaluation kernel (:class:`DeltaCache`).
 
-Every solver in this repository — the generalized Burkard iteration, the
-GFM/GKL/annealing baselines, and the repair projections — reduces to the
-same primitive: evaluate the change in ``yT Q y`` when one component
-moves (or two swap) under C1/C2 feasibility.  :class:`DeltaCache` is the
-single implementation of that primitive.  It maintains, for an evolving
-assignment:
+The generalized Burkard iteration and the GFM/GKL/annealing baselines
+reduce to the same primitive: evaluate the change in ``yT Q y`` when one
+component moves (or two swap) under C1/C2 feasibility.
+:class:`DeltaCache` is the single implementation of that primitive.  It
+maintains, for an evolving assignment:
 
 * ``delta`` — the ``(N, M)`` matrix of exact objective changes for
   moving each component to each partition (the GFM gain entries are
   ``-delta``; the paper's "(M-1) gain entries per component"),
 * ``timing_block`` — an ``(N, M)`` count of timing constraints each
-  candidate move would violate (0 = timing-feasible move),
+  candidate move would violate (0 = timing-feasible move), whose rows
+  come from :meth:`TimingIndex.conflict_rows
+  <repro.core.constraints.TimingIndex.conflict_rows>`,
 * partition loads (a :class:`~repro.core.constraints.CapacityTracker`)
   for O(1) capacity checks.
 
@@ -21,7 +22,10 @@ GFM pass costs O(nnz(A) * M) instead of O(N^2 * M).
 
 Touched rows are refreshed with whole-array sparse products
 (:meth:`DeltaCache.all_move_deltas` is the public full-scan form) and
-the timing constraints are folded vectorised.  The per-component
+the timing index's vectorised constraint fold.  The feasibility repair
+and merge projections (:mod:`repro.solvers.repair`) and the inner GAP
+do not use the cache: they evaluate C2 against assignments they mutate
+themselves, through the same :class:`TimingIndex`.  The per-component
 :meth:`DeltaCache.move_deltas` / ``_timing_block_row`` are kept only as
 a reference oracle: :meth:`DeltaCache.audit`, the tests and
 ``benchmarks/bench_scaling.py`` check the production path against them.
@@ -334,7 +338,8 @@ class DeltaCache:
         """Violation counts for moving ``j`` to each partition.
 
         Reference code only: the per-constraint loop that :meth:`audit`
-        and the tests check :meth:`_timing_rows_batched` against.
+        and the tests check the :meth:`TimingIndex.conflict_rows
+        <repro.core.constraints.TimingIndex.conflict_rows>` fold against.
         """
         row = np.zeros(self.m, dtype=np.int32)
         part, d = self.part, self.D
@@ -349,35 +354,7 @@ class DeltaCache:
     # ------------------------------------------------------------------
     def _full_timing_block(self) -> np.ndarray:
         """``(N, M)`` violated-constraint counts per candidate move."""
-        block = np.zeros((self.n, self.m), dtype=np.int32)
-        rows = np.asarray(self.timing_index.constrained_components(), dtype=np.intp)
-        if rows.size:
-            block[rows, :] = self._timing_rows_batched(rows)
-        return block
-
-    def _timing_rows_batched(self, rows: np.ndarray) -> np.ndarray:
-        """Violation-count rows for ``rows``, vectorised over constraints.
-
-        Integer accumulation, so the result is exactly the reference
-        :meth:`_timing_block_row` regardless of fold order.
-        """
-        block = np.zeros((rows.size, self.m), dtype=np.int32)
-        if self.t_src.size == 0:
-            return block
-        row_of = np.full(self.n, -1, dtype=np.intp)
-        row_of[rows] = np.arange(rows.size)
-        part, d = self.part, self.D
-        out_sel = row_of[self.t_src] >= 0
-        if out_sel.any():
-            violated = d[:, part[self.t_dst[out_sel]]].T > self.t_budget[
-                out_sel, None
-            ]
-            np.add.at(block, row_of[self.t_src[out_sel]], violated.astype(np.int32))
-        in_sel = row_of[self.t_dst] >= 0
-        if in_sel.any():
-            violated = d[part[self.t_src[in_sel]], :] > self.t_budget[in_sel, None]
-            np.add.at(block, row_of[self.t_dst[in_sel]], violated.astype(np.int32))
-        return block
+        return self.timing_index.conflict_rows(self.part)
 
     def _refresh_rows(self, rows: Iterable[int]) -> None:
         """Recompute the delta rows of ``rows``.
@@ -401,7 +378,7 @@ class DeltaCache:
         """Recompute the timing-block rows of ``rows``."""
         idx = np.asarray(sorted(rows), dtype=np.intp)
         if idx.size:
-            self.timing_block[idx, :] = self._timing_rows_batched(idx)
+            self.timing_block[idx, :] = self.timing_index.conflict_rows(self.part, idx)
 
     # ------------------------------------------------------------------
     # Queries
@@ -476,8 +453,7 @@ class DeltaCache:
 
         # Timing rows of constraint partners (and j itself) change too.
         timing_touched = {j}
-        timing_touched.update(k for k, _ in self.timing_index._out[j])
-        timing_touched.update(k for k, _ in self.timing_index._in[j])
+        timing_touched.update(self.timing_index.partners(j).tolist())
         constrained = [k for k in timing_touched if self.timing_index.degree(k)]
         self._refresh_timing_rows(constrained)
         self.stats.timing_row_refreshes += len(constrained)

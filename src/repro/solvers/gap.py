@@ -239,22 +239,7 @@ def _construct(
         """Commit item j to partition i; False if a partner gets stuck."""
         assignment[j] = i
         residual[i] -= sizes[j]
-        if timing is None:
-            return True
-        delay = timing.delay
-        # Constraint (j -> k): delay[i, where k goes] must fit.
-        for k, bound in timing._out[j]:
-            if assignment[k] < 0:
-                allowed[k] &= delay[i, :] <= bound
-                if not allowed[k].any():
-                    return False
-        # Constraint (k -> j): delay[where k goes, i] must fit.
-        for k, bound in timing._in[j]:
-            if assignment[k] < 0:
-                allowed[k] &= delay[:, i] <= bound
-                if not allowed[k].any():
-                    return False
-        return True
+        return timing is None or timing.restrict_unplaced(allowed, assignment, j, i)
 
     heap: List[tuple] = []
     for j in range(n):
@@ -330,18 +315,10 @@ def _best_fit_decreasing(
         choice = int(min(fits, key=lambda i: (-residual[i], cost[i, j], i)))
         assignment[j] = choice
         residual[choice] -= sizes[j]
-        if timing is not None:
-            delay = timing.delay
-            for k, budget in timing._out[j]:
-                if assignment[k] < 0:
-                    allowed[k] &= delay[choice, :] <= budget
-                    if not allowed[k].any():
-                        return None
-            for k, budget in timing._in[j]:
-                if assignment[k] < 0:
-                    allowed[k] &= delay[:, choice] <= budget
-                    if not allowed[k].any():
-                        return None
+        if timing is not None and not timing.restrict_unplaced(
+            allowed, assignment, j, choice
+        ):
+            return None
     return assignment
 
 
@@ -380,11 +357,7 @@ def _improve(
                 fits &= static[j]
                 fits[current] = True
             if timing is not None and timing.degree(j):
-                delay = timing.delay
-                for k, bound in timing._out[j]:
-                    fits &= delay[:, assignment[k]] <= bound
-                for k, bound in timing._in[j]:
-                    fits &= delay[assignment[k], :] <= bound
+                fits &= timing.conflict_row(assignment, j) == 0
                 fits[current] = True  # staying put is always permitted
             vals = np.where(fits, cost[:, j], np.inf)
             target = int(np.argmin(vals))
@@ -454,8 +427,8 @@ def _exchange_improve(
                 continue
             if loads[i2] - sizes[j2] + sizes[j1] > capacities[i2] + 1e-9:
                 continue
-            if timing is not None and not _swap_timing_ok(
-                timing, part, int(j1), int(j2)
+            if timing is not None and not timing.swap_is_feasible(
+                part, int(j1), int(j2)
             ):
                 continue
             part[j1], part[j2] = i2, i1
@@ -467,23 +440,6 @@ def _exchange_improve(
         if not changed:
             break
     return improved
-
-
-def _swap_timing_ok(timing, part, j1: int, j2: int) -> bool:
-    """Exact C2 check for exchanging two items (everything else fixed)."""
-    i1, i2 = int(part[j1]), int(part[j2])
-    delay = timing.delay
-    for j, new_i, other in ((j1, i2, j2), (j2, i1, j1)):
-        partner_new = i1 if j is j1 else i2  # the other item's new spot
-        for k, budget in timing._out[j]:
-            at = partner_new if k == other else part[k]
-            if delay[new_i, at] > budget:
-                return False
-        for k, budget in timing._in[j]:
-            at = partner_new if k == other else part[k]
-            if delay[at, new_i] > budget:
-                return False
-    return True
 
 
 def _validate(cost: np.ndarray, sizes: np.ndarray, capacities: np.ndarray):

@@ -17,7 +17,6 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.assignment import Assignment
-from repro.core.constraints import timing_move_mask
 from repro.engine.context import SolverContext
 from repro.engine.outcome import SolveOutcome
 from repro.obs.events import IterationEvent
@@ -345,9 +344,7 @@ def solve_qbp(
                 # Trust region: every single move must stay C2-feasible
                 # against the feasible shadow.  Iterates then sit near the
                 # feasible region while clusters migrate over iterations.
-                trust_mask = timing_move_mask(
-                    problem.timing, state.D, shadow_part, m
-                ).T
+                trust_mask = (state.timing_index.conflict_rows(shadow_part) == 0).T
                 idx = np.arange(n)
                 trust_mask[shadow_part, idx] = True  # anchor always allowed
             try:
@@ -395,8 +392,9 @@ def solve_qbp(
                 and evaluator.timing_violation_count(part) > 0
             ):
                 # A raw iterate cheaper than the feasible incumbent is worth
-                # a real (bounded) min-conflicts repair attempt - these are
-                # rare after warmup, so the cost stays negligible.
+                # a real (bounded) min-conflicts repair attempt.  Not rare:
+                # best_feas_cost starts at inf, so every infeasible iterate
+                # is repaired until the first feasible incumbent exists.
                 from repro.solvers.repair import repair_feasibility
 
                 strong = repair_feasibility(

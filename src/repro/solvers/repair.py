@@ -58,43 +58,6 @@ def repair_feasibility(
     delay = problem.delay_matrix
     t_src, t_dst, t_budget = problem.timing.arrays()
 
-    # Per-component numpy views of the constraint lists, for vectorised
-    # conflict counting (the hot path of the whole repair).
-    out_arr = [
-        (
-            np.array([k for k, _ in index._out[j]], dtype=int),
-            np.array([b for _, b in index._out[j]], dtype=float),
-        )
-        for j in range(index.num_components)
-    ]
-    in_arr = [
-        (
-            np.array([k for k, _ in index._in[j]], dtype=int),
-            np.array([b for _, b in index._in[j]], dtype=float),
-        )
-        for j in range(index.num_components)
-    ]
-
-    def conflicts(j: int, at: int) -> int:
-        """Violated constraints touching j if j were at partition ``at``."""
-        ks, bs = out_arr[j]
-        count = int((delay[at, part[ks]] > bs).sum()) if ks.size else 0
-        ks, bs = in_arr[j]
-        if ks.size:
-            count += int((delay[part[ks], at] > bs).sum())
-        return count
-
-    def conflict_row(j: int) -> np.ndarray:
-        """Violation counts for every candidate partition at once."""
-        row = np.zeros(m, dtype=np.int64)
-        ks, bs = out_arr[j]
-        if ks.size:
-            row += (delay[:, part[ks]] > bs[None, :]).sum(axis=1)
-        ks, bs = in_arr[j]
-        if ks.size:
-            row += (delay[part[ks], :].T > bs[None, :]).sum(axis=1)
-        return row
-
     def violating_components() -> list[int]:
         """Components participating in any violated constraint (vectorised)."""
         violated = delay[part[t_src], part[t_dst]] > t_budget
@@ -112,14 +75,14 @@ def repair_feasibility(
     while hot and moves < max_moves:
         j = hot[int(rng.integers(0, len(hot)))]
         here = int(part[j])
-        current = conflicts(j, here)
+        row = index.conflict_row(part, j)
+        current = int(row[here])
         if current == 0:
             # Stale entry (a partner's move resolved it); drop and go on.
             hot.remove(j)
             continue
         best_i, best_c = here, current
         best_delta = 0.0
-        row = conflict_row(j)
         fits = loads + sizes[j] <= capacities + 1e-9
         order = rng.permutation(m)
         for i in order:
@@ -139,9 +102,7 @@ def repair_feasibility(
             loads[here] -= sizes[j]
             loads[best_i] += sizes[j]
             stall = 0
-        elif _swap_step(
-            j, part, loads, sizes, capacities, conflicts, index, rng
-        ):
+        elif _swap_step(j, part, loads, sizes, capacities, index, rng):
             stall = 0
         else:
             stall += 1
@@ -225,7 +186,7 @@ def feasible_merge(
     return Assignment(part, m)
 
 
-def _swap_step(j, part, loads, sizes, capacities, conflicts, index, rng) -> bool:
+def _swap_step(j, part, loads, sizes, capacities, index, rng) -> bool:
     """Try to reduce ``j``'s conflicts by swapping with another component.
 
     Handles the case where ``j``'s best destination is capacity-blocked:
@@ -236,15 +197,14 @@ def _swap_step(j, part, loads, sizes, capacities, conflicts, index, rng) -> bool
     """
     here = int(part[j])
     m = capacities.size
-    current_j = conflicts(j, here)
+    row = index.conflict_row(part, j)
+    current_j = row[here]
     # Partitions ranked by how conflict-free they'd be for j.
     ranking = sorted(
-        (i for i in range(m) if i != here),
-        key=lambda i: (conflicts(j, i), rng.random()),
+        (i for i in range(m) if i != here), key=lambda i: (row[i], rng.random())
     )
     for i in ranking[:4]:
-        gain_target = conflicts(j, i)
-        if gain_target >= current_j:
+        if row[i] >= current_j:
             break
         members = np.flatnonzero(part == i)
         if members.size == 0:
@@ -256,10 +216,12 @@ def _swap_step(j, part, loads, sizes, capacities, conflicts, index, rng) -> bool
                 continue
             if loads[here] - sizes[j] + sizes[k] > capacities[here] + 1e-9:
                 continue
-            before = current_j + conflicts(k, i)
+            before = current_j + index.conflict_row(part, k)[i]
             # Evaluate after-positions with the swap applied.
             part[j], part[k] = i, here
-            after = conflicts(j, i) + conflicts(k, here)
+            after = (
+                index.conflict_row(part, j)[i] + index.conflict_row(part, k)[here]
+            )
             if after < before:
                 loads[i] += sizes[j] - sizes[k]
                 loads[here] += sizes[k] - sizes[j]

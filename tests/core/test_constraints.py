@@ -107,15 +107,49 @@ class TestTimingIndex:
         # b-c stays d(2,1)=2 -> infeasible.
         assert not index.swap_is_feasible(part, 1, 2)
 
-    def test_violated_by(self, index):
+    @staticmethod
+    def brute_force_row(problem, part, j):
+        """Count, per partition, the constraints ``j`` would violate there."""
+        row = np.zeros(problem.num_partitions, dtype=int)
+        for i in range(problem.num_partitions):
+            at = part.copy()
+            at[j] = i
+            for j1, j2, budget in problem.timing.items():
+                if j in (j1, j2) and problem.delay_matrix[at[j1], at[j2]] > budget:
+                    row[i] += 1
+        return row
+
+    def test_conflict_row(self, index, paper_problem):
         part = np.array([0, 3, 1])  # a-b at distance 2 (both directions)
-        assert index.violated_by(part, 0) == 2
-        assert index.violated_by(part, 1) == 2
+        assert index.conflict_row(part, 0)[0] == 2
+        assert index.conflict_row(part, 1)[3] == 2
+        for j in range(3):
+            assert np.array_equal(
+                index.conflict_row(part, j), self.brute_force_row(paper_problem, part, j)
+            )
+
+    def test_conflict_rows(self, index, paper_problem):
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            part = rng.integers(0, 4, size=3)
+            block = index.conflict_rows(part)
+            assert block.shape == (3, 4)
+            for j in range(3):
+                assert np.array_equal(block[j], self.brute_force_row(paper_problem, part, j))
+            assert np.array_equal(index.conflict_rows(part, [2, 0]), block[[2, 0]])
+
+    def test_partners(self, index):
+        # b is constrained with a and c in both directions.
+        assert sorted(index.partners(1).tolist()) == [0, 0, 2, 2]
+        assert sorted(index.partners(0).tolist()) == [1, 1]
 
     def test_empty_constraints(self):
         index = TimingIndex(TimingConstraints(3), np.zeros((2, 2)))
         assert index.constrained_components() == []
         assert index.move_is_feasible(np.array([0, 0, 0]), 0, 1)
+        assert not index.conflict_rows(np.array([0, 0, 0])).any()
+        assert not index.conflict_row(np.array([0, 0, 0]), 1).any()
+        assert index.partners(2).size == 0
 
 
 class TestCapacityTracker:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.assignment import Assignment
-from repro.core.constraints import capacity_violations, timing_move_mask
+from repro.core.constraints import TimingIndex, capacity_violations
 from repro.core.embedding import embed_timing
 from repro.core.objective import ObjectiveEvaluator
 from repro.core.problem import PartitioningProblem
@@ -94,27 +94,22 @@ class TestOmegaBound:
 
 
 class TestTimingMoveMask:
-    def test_matches_timing_index(self, instance):
-        from repro.core.constraints import TimingIndex
+    """The QBP trust mask ``conflict_rows(anchor) == 0``."""
 
+    def test_matches_timing_index(self, instance):
         index = TimingIndex(instance.timing, instance.delay_matrix)
         rng = np.random.default_rng(1)
         for _ in range(10):
             part = rng.integers(0, 3, size=5)
-            mask = timing_move_mask(
-                instance.timing, instance.delay_matrix, part, 3
-            )
+            mask = index.conflict_rows(part) == 0
             for j in range(5):
                 for i in range(3):
                     assert mask[j, i] == index.move_is_feasible(part, j, i)
 
     def test_no_constraints_all_true(self, small_problem):
-        mask = timing_move_mask(
-            small_problem.timing,
-            small_problem.delay_matrix,
-            np.zeros(small_problem.num_components, dtype=int),
-            small_problem.num_partitions,
-        )
+        index = TimingIndex(small_problem.timing, small_problem.delay_matrix)
+        mask = index.conflict_rows(np.zeros(small_problem.num_components, dtype=int)) == 0
+        assert mask.shape == (small_problem.num_components, small_problem.num_partitions)
         assert mask.all()
 
 
