@@ -60,23 +60,17 @@ CHAOS_PROFILE = (
 # its retry events may carry.  Anything outside this map is unexplained.
 EXPECTED_RETRY_KINDS = {0: {"error", "crash"}, 1: {"hang", "integrity"}}
 
-DETERMINISTIC_FIELDS = (
-    "name",
-    "with_timing",
-    "start_cost",
-    "qbp_cost",
-    "qbp_improvement",
-    "gfm_cost",
-    "gfm_improvement",
-    "gkl_cost",
-    "gkl_improvement",
-    "all_feasible",
-    "stop_reason",
-)
+DETERMINISTIC_FIELDS = ("name", "with_timing", "start_cost", "all_feasible", "stop_reason")
+DETERMINISTIC_CELL_FIELDS = ("cost", "improvement")
+"""Per-method columns of ``row["solvers"][name]`` that must match (not cpu)."""
 
 
 def deterministic(row: dict) -> tuple:
-    return tuple(row[field] for field in DETERMINISTIC_FIELDS)
+    cells = tuple(
+        (name, tuple(cell[field] for field in DETERMINISTIC_CELL_FIELDS))
+        for name, cell in row["solvers"].items()
+    )
+    return tuple(row[field] for field in DETERMINISTIC_FIELDS) + cells
 
 
 def reference_rows(circuits, scale, iterations, seed) -> dict:

@@ -77,7 +77,7 @@ def main() -> int:
         "circuit": circuit_to_dict(generate_clustered_circuit(spec, seed=0)),
         "grid": [2, 2],
         "solver": "qbp",
-        "iterations": 5,
+        "config": {"iterations": 5},
         "seed": 0,
     }
 

@@ -2,7 +2,8 @@
 """Insert measured Table II/III results into EXPERIMENTS.md.
 
 Reads the JSON written by ``python -m repro.eval.run --table all --json
-full_results.json`` and replaces the block between the RESULTS markers
+full_results.json`` (one row per circuit, each method's final cost,
+improvement and CPU under ``row["solvers"][method]``) and replaces the block between the RESULTS markers
 in EXPERIMENTS.md with rendered markdown tables plus the paper-vs-
 measured shape analysis.
 
@@ -19,6 +20,7 @@ from repro.eval.paper_data import PAPER_TABLE2, PAPER_TABLE3
 
 BEGIN = "<!-- RESULTS:BEGIN -->"
 END = "<!-- RESULTS:END -->"
+METHODS = ("qbp", "gfm", "gkl")
 
 
 def render_measured_table(rows: list[dict], paper: dict, title: str) -> str:
@@ -29,23 +31,15 @@ def render_measured_table(rows: list[dict], paper: dict, title: str) -> str:
         "|---|---|---|---|---|---|---|---|---|---|---|---|",
     ]
     for row in rows:
-        lines.append(
-            "| {name} | {start:.0f} | {qc:.0f} | {qi:.1f} | {qt:.1f} "
-            "| {gc:.0f} | {gi:.1f} | {gt:.1f} "
-            "| {kc:.0f} | {ki:.1f} | {kt:.1f} | {feas} |".format(
-                name=row["name"],
-                start=row["start_cost"],
-                qc=row["qbp_cost"],
-                qi=row["qbp_improvement"],
-                qt=row["qbp_cpu"],
-                gc=row["gfm_cost"],
-                gi=row["gfm_improvement"],
-                gt=row["gfm_cpu"],
-                kc=row["gkl_cost"],
-                ki=row["gkl_improvement"],
-                kt=row["gkl_cpu"],
-                feas="yes" if row["all_feasible"] else "NO",
+        cells = "".join(
+            "| {cost:.0f} | {improvement:.1f} | {cpu:.1f} ".format(
+                **row["solvers"][method]
             )
+            for method in METHODS
+        )
+        lines.append(
+            f"| {row['name']} | {row['start_cost']:.0f} {cells}"
+            f"| {'yes' if row['all_feasible'] else 'NO'} |"
         )
         p = paper[row["name"]]
         lines.append(
@@ -61,16 +55,16 @@ def render_measured_table(rows: list[dict], paper: dict, title: str) -> str:
 
 
 def shape_analysis(rows2: list[dict], rows3: list[dict]) -> str:
-    def mean(rows, key):
-        return sum(r[key] for r in rows) / len(rows)
+    def total(rows, method, kind):
+        return sum(r["solvers"][method][kind] for r in rows)
+
+    def mean(rows, method, kind):
+        return total(rows, method, kind) / len(rows)
 
     def wins(rows):
-        counts = {"qbp": 0, "gfm": 0, "gkl": 0}
+        counts = dict.fromkeys(METHODS, 0)
         for r in rows:
-            best = min(
-                ("qbp", r["qbp_cost"]), ("gfm", r["gfm_cost"]), ("gkl", r["gkl_cost"]),
-                key=lambda kv: kv[1],
-            )[0]
+            best = min(METHODS, key=lambda method: r["solvers"][method]["cost"])
             counts[best] += 1
         return counts
 
@@ -78,24 +72,21 @@ def shape_analysis(rows2: list[dict], rows3: list[dict]) -> str:
     for label, rows in (("Table II", rows2), ("Table III", rows3)):
         w = wins(rows)
         lines.append(
-            f"* **{label}** mean improvements: QBP {mean(rows, 'qbp_improvement'):.1f}%, "
-            f"GFM {mean(rows, 'gfm_improvement'):.1f}%, "
-            f"GKL {mean(rows, 'gkl_improvement'):.1f}%; "
+            f"* **{label}** mean improvements: "
+            f"QBP {mean(rows, 'qbp', 'improvement'):.1f}%, "
+            f"GFM {mean(rows, 'gfm', 'improvement'):.1f}%, "
+            f"GKL {mean(rows, 'gkl', 'improvement'):.1f}%; "
             f"best-quality wins: QBP {w['qbp']}, GFM {w['gfm']}, GKL {w['gkl']}."
         )
         lines.append(
-            f"  Mean CPU: QBP {mean(rows, 'qbp_cpu'):.1f}s, "
-            f"GFM {mean(rows, 'gfm_cpu'):.1f}s, GKL {mean(rows, 'gkl_cpu'):.1f}s."
+            f"  Mean CPU: QBP {mean(rows, 'qbp', 'cpu'):.1f}s, "
+            f"GFM {mean(rows, 'gfm', 'cpu'):.1f}s, GKL {mean(rows, 'gkl', 'cpu'):.1f}s."
         )
-    drop_qbp = (
-        sum(r["qbp_improvement"] for r in rows2) - sum(r["qbp_improvement"] for r in rows3)
-    ) / len(rows2)
-    drop_gfm = (
-        sum(r["gfm_improvement"] for r in rows2) - sum(r["gfm_improvement"] for r in rows3)
-    ) / len(rows2)
-    drop_gkl = (
-        sum(r["gkl_improvement"] for r in rows2) - sum(r["gkl_improvement"] for r in rows3)
-    ) / len(rows2)
+    drop_qbp, drop_gfm, drop_gkl = (
+        (total(rows2, method, "improvement") - total(rows3, method, "improvement"))
+        / len(rows2)
+        for method in METHODS
+    )
     lines.append(
         f"* Improvement drop under timing (II → III): QBP {drop_qbp:.1f} points, "
         f"GFM {drop_gfm:.1f}, GKL {drop_gkl:.1f}."

@@ -14,7 +14,6 @@
 
 from repro.eval.harness import (
     ExperimentRow,
-    SolverTimings,
     run_circuit_experiment,
     run_table,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "PAPER_TABLE1",
     "PAPER_TABLE2",
     "PAPER_TABLE3",
-    "SolverTimings",
     "Workload",
     "build_workload",
     "render_table1",

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.assignment import Assignment
 from repro.core.constraints import check_feasibility
@@ -33,7 +33,7 @@ from repro.core.objective import ObjectiveEvaluator
 from repro.engine.fanout import fold_outcomes
 from repro.eval.paper_data import GKL_OUTER_LOOPS, QBP_ITERATIONS
 from repro.eval.workloads import Workload, build_workload, workload_names
-from repro.obs.metrics import METRICS_SNAPSHOT_FORMAT, diff_snapshots
+from repro.obs.metrics import diff_snapshots
 from repro.obs.telemetry import Telemetry, resolve as resolve_telemetry
 from repro.parallel.pool import WorkerPool
 from repro.parallel.retry import IntegrityError, RetryPolicy
@@ -59,144 +59,6 @@ from repro.runtime.checkpoint import (
 )
 from repro.utils.rng import RandomSource
 
-_TIMING_GAUGE_PREFIX = "timing."
-_TIMING_GAUGE_SUFFIX = "_seconds"
-_TOTAL_GAUGE = "timing.total_seconds"
-
-
-class SolverTimings:
-    """Wall-clock seconds per solver for one circuit, keyed by name.
-
-    Serialises as a ``metrics-snapshot-v1`` payload (gauges named
-    ``timing.<solver>_seconds``), the same format
-    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` produces - so
-    ``full_results.json`` carries timings and metric snapshots uniformly
-    and :meth:`from_dict` round-trips :meth:`to_dict` exactly.  Any
-    registered solver name is accepted: ``SolverTimings(qbp=1.0)``,
-    ``SolverTimings({"annealing": 2.0})``, or a mix.
-    """
-
-    def __init__(
-        self, seconds: Optional[Mapping[str, float]] = None, **named: float
-    ) -> None:
-        data: Dict[str, float] = dict(seconds or {})
-        data.update(named)
-        self._seconds: Dict[str, float] = {
-            str(name): float(value) for name, value in data.items()
-        }
-
-    def names(self) -> Tuple[str, ...]:
-        """Solver names carried by this record, sorted."""
-        return tuple(sorted(self._seconds))
-
-    def seconds(self, name: str) -> float:
-        """Wall-clock seconds for ``name`` (raises ``KeyError`` if absent)."""
-        return self._seconds[name]
-
-    @property
-    def total(self) -> float:
-        """Combined wall-clock seconds across all solvers."""
-        return sum(self._seconds.values())
-
-    def __getattr__(self, name: str) -> float:
-        if name.startswith("_"):
-            raise AttributeError(name)
-        try:
-            return self.__dict__["_seconds"][name]
-        except KeyError:
-            raise AttributeError(
-                f"SolverTimings has no solver {name!r}"
-            ) from None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SolverTimings):
-            return NotImplemented
-        return self._seconds == other._seconds
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v:g}" for k, v in sorted(self._seconds.items()))
-        return f"SolverTimings({inner})"
-
-    def to_dict(self) -> dict:
-        """A ``metrics-snapshot-v1`` payload holding the timing gauges."""
-        gauges = {
-            f"{_TIMING_GAUGE_PREFIX}{name}{_TIMING_GAUGE_SUFFIX}": float(value)
-            for name, value in self._seconds.items()
-        }
-        gauges[_TOTAL_GAUGE] = float(self.total)
-        return {
-            "format": METRICS_SNAPSHOT_FORMAT,
-            "counters": {},
-            "gauges": {key: gauges[key] for key in sorted(gauges)},
-            "histograms": {},
-        }
-
-    @classmethod
-    def from_dict(
-        cls, payload: dict, *, expected: Optional[Sequence[str]] = None
-    ) -> "SolverTimings":
-        """Rebuild from a :meth:`to_dict` payload - strictly.
-
-        Every gauge must be a ``timing.<solver>_seconds`` entry (the
-        derived ``timing.total_seconds`` is skipped); a malformed gauge
-        name, a payload without timing gauges, or - when ``expected``
-        names are given - an unknown or missing solver raises
-        ``ValueError`` instead of silently zero-filling.
-        """
-        if not isinstance(payload, dict):
-            raise ValueError(f"timings payload must be a dict, got {payload!r}")
-        gauges = payload.get("gauges")
-        if not isinstance(gauges, dict):
-            raise ValueError("timings payload has no 'gauges' section")
-        seconds: Dict[str, float] = {}
-        for key, value in gauges.items():
-            if key == _TOTAL_GAUGE:
-                continue  # derived; recomputed from the per-solver entries
-            if not (
-                key.startswith(_TIMING_GAUGE_PREFIX)
-                and key.endswith(_TIMING_GAUGE_SUFFIX)
-                and len(key) > len(_TIMING_GAUGE_PREFIX) + len(_TIMING_GAUGE_SUFFIX)
-            ):
-                raise ValueError(
-                    f"gauge {key!r} is not a timing.<solver>_seconds entry"
-                )
-            name = key[len(_TIMING_GAUGE_PREFIX) : -len(_TIMING_GAUGE_SUFFIX)]
-            seconds[name] = float(value)
-        if not seconds:
-            raise ValueError("timings payload carries no timing gauges")
-        if expected is not None:
-            got, want = set(seconds), set(expected)
-            if got != want:
-                missing = sorted(want - got)
-                unknown = sorted(got - want)
-                raise ValueError(
-                    f"timing gauges do not match the expected solvers: "
-                    f"missing {missing}, unknown {unknown}"
-                )
-        return cls(seconds)
-
-    @classmethod
-    def merge(cls, timings: Iterable) -> "SolverTimings":
-        """Sum per-solver seconds across runs (e.g. one per pool worker).
-
-        Accepts a mix of :class:`SolverTimings` instances, :meth:`to_dict`
-        payloads, and ``None`` entries (rows restored from old
-        checkpoints carry no timings); ``None`` entries are skipped, so
-        ``SolverTimings.merge(row.timings for row in rows)`` aggregates a
-        whole table directly.  The result carries the union of all the
-        solver names seen.
-        """
-        merged: Dict[str, float] = {}
-        for item in timings:
-            if item is None:
-                continue
-            if isinstance(item, dict):
-                item = cls.from_dict(item)
-            for name, value in item._seconds.items():
-                merged[name] = merged.get(name, 0.0) + value
-        return cls(merged)
-
-
 @dataclass(frozen=True)
 class SolverCell:
     """One solver's columns in a table row: final cost, -%, CPU seconds."""
@@ -206,152 +68,40 @@ class SolverCell:
     cpu: float
 
 
-_CELL_FIELDS = ("cost", "improvement", "cpu")
-_ROW_FIELDS = (
-    "name",
-    "with_timing",
-    "start_cost",
-    "all_feasible",
-    "stop_reason",
-    "timings",
-    "metrics",
-)
-
-
+@dataclass(frozen=True)
 class ExperimentRow:
     """One row of a Table II/III reproduction, keyed by solver name.
 
-    ``solvers`` maps each method name to its :class:`SolverCell`; the
-    historical flattened attributes (``row.qbp_cost``,
-    ``row.gfm_improvement``, ...) resolve through it for *any*
-    registered solver name, and the constructor accepts either the
-    nested mapping or the flattened ``<solver>_cost=...`` keyword
-    triples, so rows round-trip both schema generations.
+    ``solvers`` maps each method name to its :class:`SolverCell`, in run
+    order; any registered solver name may appear.  ``metrics`` holds the
+    row's counter deltas when telemetry was enabled.
     """
 
-    def __init__(
-        self,
-        name: str,
-        with_timing: bool,
-        start_cost: float,
-        *,
-        solvers: Optional[Mapping[str, object]] = None,
-        all_feasible: bool,
-        stop_reason: str = STOP_COMPLETED,
-        timings: Optional[dict] = None,
-        metrics: Optional[dict] = None,
-        **legacy: float,
-    ) -> None:
-        self.name = str(name)
-        self.with_timing = bool(with_timing)
-        self.start_cost = float(start_cost)
-        self.all_feasible = bool(all_feasible)
-        self.stop_reason = str(stop_reason)
-        self.timings = timings
-        self.metrics = metrics
-
-        cells: Dict[str, SolverCell] = {}
-        for solver, cell in (solvers or {}).items():
-            if not isinstance(cell, SolverCell):
-                cell = SolverCell(**{k: float(cell[k]) for k in _CELL_FIELDS})
-            cells[str(solver)] = cell
-        pending: Dict[str, Dict[str, float]] = {}
-        for key, value in legacy.items():
-            solver, sep, kind = key.rpartition("_")
-            if not sep or not solver or kind not in _CELL_FIELDS:
-                raise TypeError(f"unexpected keyword argument {key!r}")
-            if solver in cells:
-                raise TypeError(
-                    f"solver {solver!r} given both nested and flattened"
-                )
-            pending.setdefault(solver, {})[kind] = float(value)
-        for solver, parts in pending.items():
-            missing = [k for k in _CELL_FIELDS if k not in parts]
-            if missing:
-                raise TypeError(
-                    f"solver {solver!r} columns are incomplete: missing {missing}"
-                )
-            cells[solver] = SolverCell(**parts)
-        self.solvers: Dict[str, SolverCell] = cells
-
-    def __getattr__(self, attr: str):
-        if attr.startswith("_"):
-            raise AttributeError(attr)
-        solver, sep, kind = attr.rpartition("_")
-        if sep and kind in _CELL_FIELDS:
-            cell = self.__dict__.get("solvers", {}).get(solver)
-            if cell is not None:
-                return getattr(cell, kind)
-        raise AttributeError(f"ExperimentRow has no attribute {attr!r}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExperimentRow):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __repr__(self) -> str:
-        return (
-            f"ExperimentRow(name={self.name!r}, with_timing={self.with_timing}, "
-            f"start_cost={self.start_cost!r}, solvers={self.solvers!r}, "
-            f"stop_reason={self.stop_reason!r})"
-        )
-
-    def replace(self, **changes) -> "ExperimentRow":
-        """A copy with ``changes`` applied (flattened keys reach cells)."""
-        solvers: Dict[str, SolverCell] = dict(self.solvers)
-        for key in list(changes):
-            solver, sep, kind = key.rpartition("_")
-            if sep and kind in _CELL_FIELDS and solver in solvers:
-                solvers[solver] = dataclass_replace(
-                    solvers[solver], **{kind: float(changes.pop(key))}
-                )
-        data = {field: getattr(self, field) for field in _ROW_FIELDS}
-        data.update(changes)
-        solvers_override = data.pop("solvers", solvers)
-        return ExperimentRow(
-            data.pop("name"),
-            data.pop("with_timing"),
-            data.pop("start_cost"),
-            solvers=solvers_override,
-            **data,
-        )
+    name: str
+    with_timing: bool
+    start_cost: float
+    solvers: Dict[str, SolverCell]
+    all_feasible: bool
+    stop_reason: str = STOP_COMPLETED
+    metrics: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        """Plain-dict view for JSON export.
-
-        Emits both the nested ``"solvers"`` mapping and the historical
-        flattened ``<solver>_cost/_improvement/_cpu`` keys, so older
-        consumers of ``full_results.json`` keep working.
-        """
-        data: Dict[str, object] = {
-            "name": self.name,
-            "with_timing": self.with_timing,
-            "start_cost": self.start_cost,
-        }
-        for solver, cell in self.solvers.items():
-            data[f"{solver}_cost"] = cell.cost
-            data[f"{solver}_improvement"] = cell.improvement
-            data[f"{solver}_cpu"] = cell.cpu
-        data["all_feasible"] = self.all_feasible
-        data["stop_reason"] = self.stop_reason
-        data["timings"] = self.timings
-        data["metrics"] = self.metrics
-        data["solvers"] = {
-            solver: {k: getattr(cell, k) for k in _CELL_FIELDS}
-            for solver, cell in self.solvers.items()
-        }
-        return data
+        """Plain-dict view for JSON export; :meth:`from_dict` inverts it."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentRow":
-        """Rebuild from a :meth:`to_dict` payload (either schema shape)."""
+        """Rebuild from a :meth:`to_dict` payload.
+
+        Strict: a missing field raises ``KeyError`` or ``TypeError``, an
+        unknown field or cell column ``TypeError``.
+        """
         data = dict(payload)
-        solvers = data.pop("solvers", None)
-        if solvers is not None:
-            for solver in solvers:
-                for kind in _CELL_FIELDS:
-                    data.pop(f"{solver}_{kind}", None)
-        return cls(solvers=solvers, **data)
+        data["solvers"] = {
+            str(solver): SolverCell(**cell)
+            for solver, cell in data["solvers"].items()
+        }
+        return cls(**data)
 
     def solver_costs(self) -> Dict[str, float]:
         return {solver: cell.cost for solver, cell in self.solvers.items()}
@@ -494,9 +244,6 @@ def run_circuit_experiment(
     ]
     stop_reason = budget_reasons[0] if budget_reasons else STOP_COMPLETED
 
-    timings = SolverTimings(
-        {name: cell.cpu for name, cell in cells.items()}
-    )
     row_metrics = None
     if tel.enabled:
         for name, cell in cells.items():
@@ -504,13 +251,12 @@ def run_circuit_experiment(
         row_metrics = diff_snapshots(metrics_before, tel.metrics_snapshot())
 
     return ExperimentRow(
-        workload.name,
-        with_timing,
-        start_cost,
+        name=workload.name,
+        with_timing=with_timing,
+        start_cost=start_cost,
         solvers=cells,
         all_feasible=feasible,
         stop_reason=stop_reason,
-        timings=timings.to_dict(),
         metrics=row_metrics,
     )
 
@@ -696,7 +442,9 @@ def _table_circuit_task(payload, ctx):
         # Silent tamper: a better cost whose improvement column no
         # longer adds up - only the parent's integrity gate catches it.
         first = next(iter(row.solvers))
-        row = row.replace(**{f"{first}_cost": row.solvers[first].cost * 0.5})
+        cell = row.solvers[first]
+        solvers = {**row.solvers, first: replace(cell, cost=cell.cost * 0.5)}
+        row = replace(row, solvers=solvers)
     return row
 
 
@@ -752,8 +500,7 @@ def run_table(
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry`; ``None`` uses
         the ambient instance.  Each circuit runs inside a
-        ``harness.circuit`` span and its row carries per-method timings
-        and metric deltas.
+        ``harness.circuit`` span and its row carries its metric deltas.
     workers:
         Process count for fanning circuits out over a
         :class:`~repro.parallel.pool.WorkerPool` (``None`` reads

@@ -13,8 +13,7 @@ plus its solver configuration.  Two groups of fields exist:
   with its default - before it is folded into
   :meth:`SolveRequest.digest`, the content address the result cache
   and in-flight coalescing key on (the same digesting rules as the run
-  ledger's config digest).  The top-level ``iterations``/``restarts``
-  keys remain accepted as aliases for the matching config fields.
+  ledger's config digest).
 * **transport** fields (``deadline_seconds``, ``priority``) - they
   shape *how* a request is served (budget, queue order), never *what*
   the answer is, so they are excluded from the digest exactly as the
@@ -27,7 +26,7 @@ plus its solver configuration.  Two groups of fields exist:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.core.problem import PartitioningProblem
 from repro.engine.registry import SolverConfig, UnknownSolverError
@@ -37,16 +36,13 @@ from repro.obs.ledger import config_digest
 from repro.pipeline import get_solver, solver_names
 from repro.runtime.budget import Budget
 from repro.timing.constraints import TimingConstraints
-from repro.topology.grid import grid_topology
+from repro.topology.grid import grid_topology, slack_capacity
 
 SOLVERS = solver_names()
 """Registered solver names a request may ask for (registry-derived)."""
 
 DEFAULT_CAPACITY_SLACK = 0.15
 """Headroom over balanced load when no explicit capacity is given."""
-
-LEGACY_CONFIG_FIELDS = ("iterations", "restarts")
-"""Top-level aliases for same-named solver config fields."""
 
 REQUEST_FIELDS = frozenset(
     {
@@ -57,8 +53,6 @@ REQUEST_FIELDS = frozenset(
         "timing",
         "solver",
         "config",
-        "iterations",
-        "restarts",
         "seed",
         "deadline_seconds",
         "priority",
@@ -122,15 +116,6 @@ class SolveRequest:
             raise BadRequestError(f"bad {self.solver} config: {exc}") from None
         object.__setattr__(self, "config", normalised)
 
-    # Back-compat accessors for the pre-registry request shape.
-    @property
-    def iterations(self) -> int:
-        return int(self.config.get("iterations", 1))
-
-    @property
-    def restarts(self) -> int:
-        return int(self.config.get("restarts", 1))
-
     def solver_config(self) -> SolverConfig:
         """The request's config as its solver's typed config instance."""
         return get_solver(self.solver).make_config(self.config)
@@ -156,8 +141,6 @@ class SolveRequest:
         if not isinstance(circuit, dict):
             raise BadRequestError("'circuit' must be a circuit JSON document")
 
-        solver = str(payload.get("solver", "qbp"))
-        config = _merge_config(solver, payload)
         try:
             request = cls(
                 circuit=circuit,
@@ -170,8 +153,10 @@ class SolveRequest:
                     payload.get("capacity_slack", DEFAULT_CAPACITY_SLACK)
                 ),
                 timing=payload.get("timing"),
-                solver=solver,
-                config=config,
+                solver=str(payload.get("solver", "qbp")),
+                config=(
+                    {} if payload.get("config") is None else payload["config"]
+                ),
                 seed=int(payload.get("seed", 0)),
                 deadline_seconds=(
                     None if payload.get("deadline_seconds") is None
@@ -256,18 +241,23 @@ class SolveRequest:
         """Materialise the :class:`PartitioningProblem` this request names."""
         circuit = self.build_circuit()
         rows, cols = self.grid
-        if self.capacity is not None:
-            capacity = self.capacity
-        else:
-            balanced = circuit.total_size() / (rows * cols)
-            capacity = max(
-                balanced * (1.0 + self.capacity_slack),
-                float(circuit.sizes().max()) * (1.0 + self.capacity_slack),
-            )
+        capacity = self.capacity
+        if capacity is None:
+            capacity = slack_capacity(circuit, rows * cols, self.capacity_slack)
         topology = grid_topology(rows, cols, capacity=capacity)
         timing = None
         if self.timing is not None:
-            timing = _timing_from_dict(self.timing, circuit.num_components)
+            # A document without ``num_components`` is for this circuit.
+            n = circuit.num_components
+            try:
+                timing = TimingConstraints.from_dict({"num_components": n, **self.timing})
+            except ValueError as exc:
+                raise BadRequestError(f"bad timing document: {exc}") from exc
+            if timing.num_components != n:
+                raise BadRequestError(
+                    f"timing document is for {timing.num_components} components, "
+                    f"circuit has {n}"
+                )
         try:
             return PartitioningProblem(circuit, topology, timing=timing)
         except ValueError as exc:
@@ -289,69 +279,9 @@ class SolveRequest:
         return Budget(wall_seconds=self.deadline_seconds)
 
 
-def _merge_config(solver: str, payload: Mapping[str, Any]) -> Dict[str, Any]:
-    """Fold the legacy top-level aliases into the ``config`` document.
-
-    ``iterations``/``restarts`` predate the per-solver ``config`` object
-    and remain accepted when the chosen solver's config has a field of
-    that name; a value that contradicts the ``config`` document is
-    rejected rather than silently resolved.
-    """
-    config = payload.get("config", {})
-    if config is None:
-        config = {}
-    if not isinstance(config, dict):
-        raise BadRequestError("'config' must be a JSON object")
-    config = dict(config)
-    try:
-        known = get_solver(solver).config_cls.field_names()
-    except UnknownSolverError as exc:
-        raise BadRequestError(str(exc)) from None
-    for key in LEGACY_CONFIG_FIELDS:
-        if key not in payload or payload[key] is None:
-            continue
-        if key not in known:
-            raise BadRequestError(
-                f"solver {solver!r} does not accept {key!r}"
-            )
-        value = payload[key]
-        if key in config and config[key] != value:
-            raise BadRequestError(
-                f"{key!r} given both at top level ({value!r}) and in "
-                f"config ({config[key]!r})"
-            )
-        config[key] = value
-    return config
-
-
-def _timing_from_dict(data: Dict[str, Any], num_components: int) -> TimingConstraints:
-    """Build timing constraints from their JSON document.
-
-    Mirrors ``repro.tools.files.timing_from_dict`` (the service layer
-    must not import from the consumer-level ``tools`` package) and
-    additionally pins the component count to the request's circuit.
-    """
-    declared = int(data.get("num_components", num_components))
-    if declared != num_components:
-        raise BadRequestError(
-            f"timing document is for {declared} components, "
-            f"circuit has {num_components}"
-        )
-    timing = TimingConstraints(num_components)
-    for entry in data.get("constraints", []):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
-            raise BadRequestError(f"malformed timing constraint: {entry!r}")
-        try:
-            timing.add(int(entry[0]), int(entry[1]), float(entry[2]))
-        except (TypeError, ValueError, IndexError) as exc:
-            raise BadRequestError(f"bad timing constraint {entry!r}: {exc}") from exc
-    return timing
-
-
 __all__ = [
     "BadRequestError",
     "DEFAULT_CAPACITY_SLACK",
-    "LEGACY_CONFIG_FIELDS",
     "REQUEST_FIELDS",
     "SOLVERS",
     "SolveRequest",

@@ -51,7 +51,6 @@ public names of its submodules.  The keyword reference lives in
 
 from repro.solvers.qbp.bootstrap import BootstrapStallError, bootstrap_initial_solution
 from repro.solvers.qbp.formulation import (
-    ANCHOR_MODES,
     DEFAULT_GAP_CRITERIA,
     ETA_MODES,
     IterationState,
@@ -60,14 +59,12 @@ from repro.solvers.qbp.formulation import (
     resolve_penalty,
     validated_initial,
 )
-from repro.solvers.qbp.iteration import BurkardResult, CallbackGuard, solve_qbp
+from repro.solvers.qbp.iteration import BurkardResult, solve_qbp
 from repro.solvers.qbp.multistart import MultistartError, solve_qbp_multistart
 
 __all__ = [
-    "ANCHOR_MODES",
     "BootstrapStallError",
     "BurkardResult",
-    "CallbackGuard",
     "DEFAULT_GAP_CRITERIA",
     "ETA_MODES",
     "IterationState",

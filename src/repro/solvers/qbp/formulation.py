@@ -22,8 +22,6 @@ PAPER_PENALTY = 50.0
 DEFAULT_GAP_CRITERIA = ("cost", "cost_per_size")
 """Desirability criteria for the inner GAP solves (speed/quality balance)."""
 
-ANCHOR_MODES = ("trajectory", "incumbent")
-
 
 def resolve_penalty(problem: PartitioningProblem, penalty) -> float:
     """Resolve a penalty specification to a number.
@@ -153,7 +151,6 @@ def is_fully_feasible(
 
 
 __all__ = [
-    "ANCHOR_MODES",
     "DEFAULT_GAP_CRITERIA",
     "ETA_MODES",
     "IterationState",

@@ -1,10 +1,10 @@
 """The generalized Burkard iteration (paper Section 4.2, STEP 1-8).
 
 This module owns :func:`solve_qbp` — the single-solve entry point — and
-its supporting pieces: the supervised inner-GAP ladder and the guarded
-progress callback.  The formulation-side machinery (penalty, omega,
-eta) lives in :mod:`repro.solvers.qbp.formulation`; multistart and the
-zero-``B`` bootstrap in their sibling modules.
+its supporting piece, the supervised inner-GAP ladder.  The
+formulation-side machinery (penalty, omega, eta) lives in
+:mod:`repro.solvers.qbp.formulation`; multistart and the zero-``B``
+bootstrap in their sibling modules.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from repro.runtime.supervisor import Attempt, SolverSupervisor, SupervisorExhaus
 from repro.solvers.gap import GapInfeasibleError, solve_gap
 from repro.solvers.greedy import greedy_feasible_assignment
 from repro.solvers.qbp.formulation import (
-    ANCHOR_MODES,
     DEFAULT_GAP_CRITERIA,
     ETA_MODES,
     IterationState,
@@ -47,35 +46,8 @@ from repro.utils.rng import RandomSource
 logger = logging.getLogger(__name__)
 
 
-class CallbackGuard:
-    """Wraps a user progress callback so one failure disables it.
-
-    The first exception is logged (``logger.warning(..., exc_info=True)``)
-    exactly once and every later invocation is skipped - including across
-    the restarts of :func:`repro.solvers.qbp.multistart.solve_qbp_multistart`,
-    which shares one guard, so a persistently raising callback cannot
-    flood the log.
-    """
-
-    __slots__ = ("fn", "failed")
-
-    def __init__(self, fn: Callable[[int, Assignment, float], None]) -> None:
-        self.fn = fn
-        self.failed = False
-
-    def __call__(self, k: int, assignment: Assignment, pen: float) -> None:
-        if self.failed:
-            return
-        try:
-            self.fn(k, assignment, pen)
-        except Exception:
-            self.failed = True
-            logger.warning(
-                "solve_qbp: progress callback raised at iteration %d; "
-                "disabling it for the remainder of the run",
-                k,
-                exc_info=True,
-            )
+ITERATE_REPAIR_MOVES = 3000
+"""Move budget of the min-conflicts repair of a promising iterate."""
 
 
 @dataclass
@@ -117,12 +89,7 @@ def solve_qbp(
     eta_mode: str = "symmetric",
     initial: Optional[Assignment] = None,
     seed: RandomSource = None,
-    gap_criteria: Sequence[str] = DEFAULT_GAP_CRITERIA,
     repair_iterates: bool = True,
-    repair_moves: int = 3000,
-    project_trajectory: bool = False,
-    anchor_mode: str = "trajectory",
-    callback: Optional[Callable[[int, Assignment, float], None]] = None,
     budget: Optional[Budget] = None,
     checkpointer: Optional[QbpCheckpointer] = None,
     resume: Optional[QbpCheckpoint] = None,
@@ -169,18 +136,10 @@ def solve_qbp(
         violations that the penalty cannot express per-item; the
         projection (:func:`repro.solvers.repair.feasible_merge` from the
         feasible incumbent toward the iterate) closes that gap at
-        O(N * degree) cost.  No-op on timing-free problems.
-    repair_moves:
-        Move budget for the targeted min-conflicts repair of promising
-        iterates (those whose raw cost beats the feasible incumbent);
-        the cheap merge projection has no budget to tune.
-    callback:
-        Called as ``callback(k, assignment, penalized_cost)`` after each
-        iteration (for progress reporting / live ablation traces).  A
-        raising callback is demoted to a single logged warning and then
-        disabled - it never destroys the run or its incumbent.  New code
-        should prefer the typed event stream (``telemetry``), which the
-        callback hook is now an adapter over.
+        O(N * degree) cost.  Iterates whose raw cost beats the feasible
+        incumbent also get a min-conflicts repair of at most
+        :data:`ITERATE_REPAIR_MOVES` moves.  No-op on timing-free
+        problems.
     budget:
         Optional :class:`repro.runtime.budget.Budget`.  Checked at the
         top of every iteration and inside the inner GAP solves; on
@@ -201,24 +160,20 @@ def solve_qbp(
         ``qbp.solve`` span, every iteration emits an
         :class:`~repro.obs.events.IterationEvent` and bumps the
         ``solver.iterations`` counter, and the inner GAP ladder reports
-        fallbacks.  Telemetry never alters the computation.
+        fallbacks.  The event stream is the progress hook: a sink can
+        report progress or cancel ``budget``.  Telemetry never alters the
+        computation.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if eta_mode not in ETA_MODES:
         raise ValueError(f"eta_mode must be one of {ETA_MODES}, got {eta_mode!r}")
-    if anchor_mode not in ANCHOR_MODES:
-        raise ValueError(
-            f"anchor_mode must be one of {ANCHOR_MODES}, got {anchor_mode!r}"
-        )
 
     ctx = SolverContext.create(
         problem, seed=seed, telemetry=telemetry, budget=budget,
         checkpointer=checkpointer,
     )
     tel = ctx.telemetry
-    if callback is not None and not isinstance(callback, CallbackGuard):
-        callback = CallbackGuard(callback)
 
     start_time = time.perf_counter()
     rng = ctx.rng
@@ -323,10 +278,6 @@ def solve_qbp(
                     stop_reason = reason
                     break
             maybe_fault("qbp.iteration")
-            if anchor_mode == "incumbent" and best_feas_part is not None:
-                # Variant: always linearise at the best feasible incumbent
-                # instead of the previous iterate (see docstring).
-                part = best_feas_part.copy()
             # Kernel timing instrumentation: per-iteration eta/GAP wall
             # time lands in qbp.iter.* histograms so metrics and
             # --profile flamegraphs cross-reference the same hot spots.
@@ -350,8 +301,7 @@ def solve_qbp(
             try:
                 t0 = time.perf_counter() if timed else 0.0
                 step4 = _solve_gap_graceful(
-                    eta.T, sizes, capacities, gap_criteria, gap_timing, trust_mask,
-                    budget, tel,
+                    eta.T, sizes, capacities, gap_timing, trust_mask, budget, tel,
                 )  # STEP 4
                 if timed:
                     tel.histogram("qbp.iter.gap_seconds").observe(
@@ -369,8 +319,7 @@ def solve_qbp(
                 h_next = h + eta / max(1.0, abs(z - xi))
                 t0 = time.perf_counter() if timed else 0.0
                 nxt = _solve_gap_graceful(
-                    h_next.T, sizes, capacities, gap_criteria, gap_timing, trust_mask,
-                    budget, tel,
+                    h_next.T, sizes, capacities, gap_timing, trust_mask, budget, tel,
                 )  # STEP 6
                 if timed:
                     tel.histogram("qbp.iter.gap_seconds").observe(
@@ -400,7 +349,7 @@ def solve_qbp(
                 strong = repair_feasibility(
                     problem,
                     Assignment(part, m),
-                    max_moves=repair_moves,
+                    max_moves=ITERATE_REPAIR_MOVES,
                     seed=rng,
                     evaluator=evaluator,
                 )
@@ -421,11 +370,6 @@ def solve_qbp(
                 )
                 shadow_part = merged.part
                 candidates.append(shadow_part)
-                if project_trajectory:
-                    # Fully projected iteration: the trajectory itself stays
-                    # feasible, so eta is always anchored at a real
-                    # configuration.
-                    part = shadow_part.copy()
             pen = evaluator.penalized_cost(part, pen_value)  # STEP 7
             history.append(pen)
 
@@ -465,8 +409,6 @@ def solve_qbp(
                         improved=bool(improvements and improvements[-1] == k),
                     )
                 )
-            if callback is not None:
-                callback(k, Assignment(part, m), pen)
             if checkpointer is not None and (
                 checkpointer.due(k) or k == effective_iterations
             ):
@@ -510,8 +452,7 @@ def solve_qbp(
 
 
 def _solve_gap_graceful(
-    cost, sizes, capacities, criteria, timing, trust_mask=None, budget=None,
-    telemetry=None,
+    cost, sizes, capacities, timing, trust_mask=None, budget=None, telemetry=None,
 ):
     """One inner GAP solve under a supervised fallback ladder.
 
@@ -532,7 +473,8 @@ def _solve_gap_graceful(
         def run(attempt_budget):
             maybe_fault(site)
             return solve_gap(
-                cost, sizes, capacities, criteria=criteria, budget=attempt_budget, **kwargs
+                cost, sizes, capacities, criteria=DEFAULT_GAP_CRITERIA,
+                budget=attempt_budget, **kwargs,
             )
 
         return Attempt(name=site, run=run)
@@ -553,4 +495,4 @@ def _solve_gap_graceful(
         return None
 
 
-__all__ = ["BurkardResult", "CallbackGuard", "solve_qbp"]
+__all__ = ["BurkardResult", "ITERATE_REPAIR_MOVES", "solve_qbp"]

@@ -115,6 +115,47 @@ class TimingConstraints:
                     constraints.add(j1, j2, float(mat[j1, j2]))
         return constraints
 
+    def to_dict(self) -> Dict[str, object]:
+        """The JSON document: ``{"num_components", "constraints"}``.
+
+        ``constraints`` lists ``[j1, j2, budget]`` triples in
+        :meth:`items` order.
+        """
+        return {
+            "num_components": self.num_components,
+            "constraints": [[j1, j2, budget] for j1, j2, budget in self.items()],
+        }
+
+    @classmethod
+    def from_dict(cls, data) -> "TimingConstraints":
+        """Inverse of :meth:`to_dict`.
+
+        Any malformed part raises ``ValueError``: a missing or
+        non-integer count, a non-list entry, a wrong arity, a
+        non-numeric or out-of-range field.
+        """
+        if not isinstance(data, dict):
+            raise ValueError("timing document must be a JSON object")
+        if "num_components" not in data:
+            raise ValueError("timing document is missing 'num_components'")
+        try:
+            timing = cls(int(data["num_components"]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad timing 'num_components': {exc}") from None
+        entries = data.get("constraints", [])
+        if not isinstance(entries, list):
+            raise ValueError("timing 'constraints' must be a list")
+        for entry in entries:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 3:
+                raise ValueError(f"malformed timing constraint: {entry!r}")
+            try:
+                timing.add(int(entry[0]), int(entry[1]), float(entry[2]))
+            except (TypeError, ValueError, IndexError) as exc:
+                raise ValueError(
+                    f"bad timing constraint {entry!r}: {exc}"
+                ) from None
+        return timing
+
     # ------------------------------------------------------------------
     def violations(
         self, assignment: Sequence[int], delay_matrix: np.ndarray

@@ -12,14 +12,10 @@ from repro.tools.files import (
     assignment_from_dict,
     assignment_to_dict,
     load_any_circuit,
-    timing_from_dict,
-    timing_to_dict,
 )
 
 __all__ = [
     "assignment_from_dict",
     "assignment_to_dict",
     "load_any_circuit",
-    "timing_from_dict",
-    "timing_to_dict",
 ]

@@ -9,7 +9,6 @@ from repro.core.assignment import Assignment
 from repro.netlist.circuit import Circuit
 from repro.netlist.io import load_circuit
 from repro.netlist.parsers import load_edge_list
-from repro.timing.constraints import TimingConstraints
 
 
 def load_any_circuit(path: str | Path) -> Circuit:
@@ -22,26 +21,6 @@ def load_any_circuit(path: str | Path) -> Circuit:
     raise ValueError(
         f"unsupported circuit format {path.suffix!r}; use .json or .wires"
     )
-
-
-def timing_to_dict(timing: TimingConstraints) -> Dict[str, Any]:
-    """Serialise timing constraints: ``{"num_components", "constraints"}``."""
-    return {
-        "num_components": timing.num_components,
-        "constraints": [[j1, j2, budget] for j1, j2, budget in timing.items()],
-    }
-
-
-def timing_from_dict(data: Dict[str, Any]) -> TimingConstraints:
-    """Inverse of :func:`timing_to_dict`."""
-    if "num_components" not in data:
-        raise ValueError("timing document is missing 'num_components'")
-    timing = TimingConstraints(int(data["num_components"]))
-    for entry in data.get("constraints", []):
-        if len(entry) != 3:
-            raise ValueError(f"malformed timing constraint: {entry!r}")
-        timing.add(int(entry[0]), int(entry[1]), float(entry[2]))
-    return timing
 
 
 def assignment_to_dict(assignment: Assignment, circuit: Circuit) -> Dict[str, Any]:

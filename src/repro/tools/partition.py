@@ -5,7 +5,7 @@ Examples
 Partition a JSON circuit onto a 4x4 grid with QBP::
 
     python -m repro.tools.partition circuit.json --grid 4x4 \\
-        --capacity-slack 0.15 --solver qbp --iterations 100 \\
+        --capacity-slack 0.15 --solver qbp --qbp-iterations 100 \\
         --output assignment.json
 
 With timing constraints from a file, printing the designer report::
@@ -48,8 +48,9 @@ from repro.pipeline import (
     supervised_initial_solution,
 )
 from repro.runtime.budget import Budget
-from repro.tools.files import assignment_to_dict, load_any_circuit, timing_from_dict
-from repro.topology.grid import grid_topology
+from repro.timing.constraints import TimingConstraints
+from repro.tools.files import assignment_to_dict, load_any_circuit
+from repro.topology.grid import grid_topology, slack_capacity
 
 
 def parse_grid(spec: str):
@@ -115,20 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--timing", default=None, metavar="PATH",
-        help="timing-constraint JSON (see repro.tools.files.timing_to_dict)",
+        help="timing-constraint JSON (see TimingConstraints.to_dict)",
     )
     parser.add_argument(
         "--solver", default="qbp", metavar="NAME",
         help="registered solver to run: " + ", ".join(solver_names()),
-    )
-    parser.add_argument(
-        "--iterations", type=int, default=None,
-        help="QBP iterations (alias for --qbp-iterations; default 100)",
-    )
-    parser.add_argument(
-        "--restarts", type=int, default=None,
-        help="independent QBP restarts; the best result is kept (default 1). "
-        "More restarts buy better solutions, and parallelize cleanly",
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -160,26 +152,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def solver_config_overrides(args, spec) -> Dict[str, object]:
-    """Collect ``--<solver>-<field>`` values (plus legacy aliases) for ``spec``.
-
-    The legacy ``--iterations``/``--restarts`` flags map onto same-named
-    config fields when the chosen solver has them; using them with a
-    solver that does not is an error rather than a silent no-op.
-    """
+    """Collect the ``--<solver>-<field>`` values set for ``spec``."""
     overrides: Dict[str, object] = {}
     for field in spec.config_cls.field_names():
         value = getattr(args, _config_flag_dest(spec.name, field), None)
         if value is not None:
             overrides[field] = value
-    for legacy in ("iterations", "restarts"):
-        value = getattr(args, legacy, None)
-        if value is None:
-            continue
-        if legacy not in spec.config_cls.field_names():
-            raise ValueError(
-                f"--{legacy} does not apply to solver {spec.name!r}"
-            )
-        overrides.setdefault(legacy, value)
     return overrides
 
 
@@ -203,19 +181,19 @@ def _run(args) -> int:
 
     circuit = load_any_circuit(args.circuit)
     rows, cols = args.grid
-    if args.capacity is not None:
-        capacity = args.capacity
-    else:
-        balanced = circuit.total_size() / (rows * cols)
-        capacity = max(
-            balanced * (1.0 + args.capacity_slack),
-            float(circuit.sizes().max()) * (1.0 + args.capacity_slack),
-        )
+    capacity = args.capacity
+    if capacity is None:
+        capacity = slack_capacity(circuit, rows * cols, args.capacity_slack)
     topology = grid_topology(rows, cols, capacity=capacity)
 
     timing = None
     if args.timing:
-        timing = timing_from_dict(json.loads(Path(args.timing).read_text()))
+        try:
+            timing = TimingConstraints.from_dict(
+                json.loads(Path(args.timing).read_text())
+            )
+        except (OSError, ValueError) as exc:
+            build_parser().error(f"bad --timing file {args.timing}: {exc}")
     problem = PartitioningProblem(circuit, topology, timing=timing)
 
     budget = None
@@ -233,7 +211,7 @@ def _run(args) -> int:
     if args.checkpoint and restarts > 1:
         # A solver checkpoint records ONE solve's state; restarts would
         # fight over the file (and parallel restarts cannot share it).
-        build_parser().error("--checkpoint requires --restarts 1")
+        build_parser().error("--checkpoint requires --qbp-restarts 1")
 
     initial = None
     if spec.uses_initial:

@@ -9,7 +9,7 @@ Run a service (drains and exits 0 on SIGINT/SIGTERM)::
 Solve synchronously against it (the second run is a cache hit)::
 
     python -m repro.tools.servectl solve circuit.json --grid 4x4 \\
-        --solver qbp --iterations 100 --output assignment.json
+        --solver qbp --config '{"iterations": 100}' --output assignment.json
 
 Submit asynchronously, then poll::
 
@@ -107,8 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="solver config document, e.g. "
             "'{\"temperature_steps\": 20}' (validated server-side too)",
         )
-        p.add_argument("--iterations", type=int, default=None)
-        p.add_argument("--restarts", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--deadline", type=float, default=None, metavar="SECONDS",
@@ -172,10 +170,6 @@ def build_request(args) -> Dict[str, Any]:
         if not isinstance(config, dict):
             raise ValueError("--config must be a JSON object")
         request["config"] = config
-    if args.iterations is not None:
-        request["iterations"] = args.iterations
-    if args.restarts is not None:
-        request["restarts"] = args.restarts
     if args.capacity is not None:
         request["capacity"] = args.capacity
     else:

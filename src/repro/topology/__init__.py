@@ -25,6 +25,7 @@ from repro.topology.grid import (
     grid_topology,
     linear_topology,
     ring_topology,
+    slack_capacity,
     star_topology,
 )
 from repro.topology.partition import Partition, Topology
@@ -38,6 +39,7 @@ __all__ = [
     "linear_topology",
     "manhattan_distance_matrix",
     "ring_topology",
+    "slack_capacity",
     "star_topology",
     "uniform_cost_matrix",
 ]

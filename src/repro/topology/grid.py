@@ -58,6 +58,19 @@ def grid_topology(
     return Topology(partitions, cost, name=name or f"grid{rows}x{cols}")
 
 
+def slack_capacity(circuit, partitions: int, slack: float) -> float:
+    """One partition capacity with ``slack`` headroom over balanced load.
+
+    Never below the largest component's size with the same headroom, so
+    every component fits somewhere.
+    """
+    balanced = circuit.total_size() / partitions
+    return max(
+        balanced * (1.0 + slack),
+        float(circuit.sizes().max()) * (1.0 + slack),
+    )
+
+
 def linear_topology(
     count: int,
     capacity: float | Sequence[float],

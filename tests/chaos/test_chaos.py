@@ -198,9 +198,7 @@ class TestTableChaos:
         return (
             row.name,
             row.start_cost,
-            row.qbp_cost,
-            row.gfm_cost,
-            row.gkl_cost,
+            row.solver_costs(),
             row.all_feasible,
             row.stop_reason,
         )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.eval.harness import (
     ExperimentRow,
+    SolverCell,
     run_circuit_experiment,
     run_table,
     shared_initial_solution,
@@ -39,23 +40,20 @@ class TestRunCircuitExperiment:
         assert row.all_feasible
 
     def test_no_solver_worsens_start(self, row):
-        assert row.qbp_cost <= row.start_cost + 1e-9
-        assert row.gfm_cost <= row.start_cost + 1e-9
-        assert row.gkl_cost <= row.start_cost + 1e-9
+        for solver in ("qbp", "gfm", "gkl"):
+            assert row.solvers[solver].cost <= row.start_cost + 1e-9
 
     def test_improvements_consistent(self, row):
-        for cost, pct in (
-            (row.qbp_cost, row.qbp_improvement),
-            (row.gfm_cost, row.gfm_improvement),
-            (row.gkl_cost, row.gkl_improvement),
-        ):
-            expected = 100.0 * (row.start_cost - cost) / row.start_cost
-            assert pct == pytest.approx(expected)
+        for cell in row.solvers.values():
+            expected = 100.0 * (row.start_cost - cell.cost) / row.start_cost
+            assert cell.improvement == pytest.approx(expected)
 
     def test_to_dict_roundtrip(self, row):
         data = row.to_dict()
         assert data["name"] == "cktb"
-        assert set(data) >= {"start_cost", "qbp_cost", "gfm_cost", "gkl_cost"}
+        assert set(data["solvers"]) == {"qbp", "gfm", "gkl"}
+        assert set(data["solvers"]["qbp"]) == {"cost", "improvement", "cpu"}
+        assert ExperimentRow.from_dict(data) == row
 
     def test_solver_costs_view(self, row):
         costs = row.solver_costs()
@@ -90,20 +88,47 @@ class TestRunTable:
             run_table(4)
 
 
+class TestRowSchema:
+    @pytest.fixture
+    def row(self):
+        return ExperimentRow(
+            name="x",
+            with_timing=True,
+            start_cost=100.0,
+            solvers={
+                "annealing": SolverCell(cost=70.0, improvement=30.0, cpu=0.25),
+                "spectral": SolverCell(cost=95.0, improvement=5.0, cpu=0.125),
+            },
+            all_feasible=True,
+            metrics={"counters": {"solver.iterations": 3.0}},
+        )
+
+    def test_round_trip_with_nonpaper_solvers(self, row):
+        assert ExperimentRow.from_dict(row.to_dict()) == row
+
+    def test_flattened_columns_are_rejected(self, row):
+        data = row.to_dict()
+        data["annealing_cost"] = 70.0
+        with pytest.raises(TypeError):
+            ExperimentRow.from_dict(data)
+
+    def test_missing_solvers_is_rejected(self, row):
+        data = row.to_dict()
+        del data["solvers"]
+        with pytest.raises(KeyError):
+            ExperimentRow.from_dict(data)
+
+
 def test_summarize_rows():
     row = ExperimentRow(
         name="x",
         with_timing=False,
         start_cost=100.0,
-        qbp_cost=80.0,
-        qbp_improvement=20.0,
-        qbp_cpu=1.0,
-        gfm_cost=90.0,
-        gfm_improvement=10.0,
-        gfm_cpu=0.5,
-        gkl_cost=85.0,
-        gkl_improvement=15.0,
-        gkl_cpu=2.0,
+        solvers={
+            "qbp": SolverCell(cost=80.0, improvement=20.0, cpu=1.0),
+            "gfm": SolverCell(cost=90.0, improvement=10.0, cpu=0.5),
+            "gkl": SolverCell(cost=85.0, improvement=15.0, cpu=2.0),
+        },
         all_feasible=True,
     )
     means = summarize_rows([row, row])

@@ -1,6 +1,6 @@
 """Tests for repro.eval.tables and repro.utils.tables rendering."""
 
-from repro.eval.harness import ExperimentRow
+from repro.eval.harness import ExperimentRow, SolverCell
 from repro.eval.paper_data import PAPER_TABLE2
 from repro.eval.tables import render_table1, render_table23
 from repro.netlist.stats import CircuitStats
@@ -27,15 +27,11 @@ def row(name="ckta"):
         name=name,
         with_timing=False,
         start_cost=20756.0,
-        qbp_cost=17457.0,
-        qbp_improvement=15.9,
-        qbp_cpu=86.8,
-        gfm_cost=18894.0,
-        gfm_improvement=9.0,
-        gfm_cpu=12.2,
-        gkl_cost=17526.0,
-        gkl_improvement=15.6,
-        gkl_cpu=544.3,
+        solvers={
+            "qbp": SolverCell(cost=17457.0, improvement=15.9, cpu=86.8),
+            "gfm": SolverCell(cost=18894.0, improvement=9.0, cpu=12.2),
+            "gkl": SolverCell(cost=17526.0, improvement=15.6, cpu=544.3),
+        },
         all_feasible=True,
     )
 

@@ -26,15 +26,18 @@ def fake_row(name, qbp=80.0, gfm=90.0, gkl=85.0):
         "name": name,
         "with_timing": False,
         "start_cost": start,
-        "qbp_cost": qbp,
-        "qbp_improvement": 100 * (start - qbp) / start,
-        "qbp_cpu": 1.0,
-        "gfm_cost": gfm,
-        "gfm_improvement": 100 * (start - gfm) / start,
-        "gfm_cpu": 0.5,
-        "gkl_cost": gkl,
-        "gkl_improvement": 100 * (start - gkl) / start,
-        "gkl_cpu": 2.0,
+        "solvers": {
+            solver: {
+                "cost": cost,
+                "improvement": 100 * (start - cost) / start,
+                "cpu": cpu,
+            }
+            for solver, cost, cpu in (
+                ("qbp", qbp, 1.0),
+                ("gfm", gfm, 0.5),
+                ("gkl", gkl, 2.0),
+            )
+        },
         "all_feasible": True,
     }
 

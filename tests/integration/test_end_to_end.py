@@ -74,7 +74,7 @@ class TestFullPipeline:
             workload, with_timing=True, qbp_iterations=10, seed=0, initial=initial
         )
         assert row.all_feasible
-        assert row.qbp_cost <= row.start_cost
+        assert row.solvers["qbp"].cost <= row.start_cost
 
 
 class TestRobustnessClaims:
@@ -132,6 +132,4 @@ class TestDeterministicReproduction:
             )
             for _ in range(2)
         ]
-        assert rows[0].qbp_cost == rows[1].qbp_cost
-        assert rows[0].gfm_cost == rows[1].gfm_cost
-        assert rows[0].gkl_cost == rows[1].gkl_cost
+        assert rows[0].solver_costs() == rows[1].solver_costs()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.harness import SolverTimings, TableCheckpoint, run_table
+from repro.eval.harness import TableCheckpoint, run_table
 from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.parallel.pool import supports_process_pool
 
@@ -22,9 +22,7 @@ def deterministic_fields(row):
         row.name,
         row.with_timing,
         row.start_cost,
-        row.qbp_cost,
-        row.gfm_cost,
-        row.gkl_cost,
+        row.solver_costs(),
         row.all_feasible,
         row.stop_reason,
     )
@@ -99,37 +97,3 @@ class TestParallelCheckpoint:
         assert checkpoint.completed("ckta") is not None
         assert checkpoint.completed("cktb") is not None
 
-
-class TestSolverTimingsMerge:
-    def test_merge_sums_components(self):
-        merged = SolverTimings.merge(
-            [
-                SolverTimings(qbp=1.0, gfm=2.0, gkl=3.0),
-                SolverTimings(qbp=0.5, gfm=0.25, gkl=0.125),
-            ]
-        )
-        assert merged == SolverTimings(qbp=1.5, gfm=2.25, gkl=3.125)
-        assert merged.total == 1.5 + 2.25 + 3.125
-
-    def test_merge_accepts_dict_payloads(self):
-        payload = SolverTimings(qbp=1.0, gfm=1.0, gkl=1.0).to_dict()
-        merged = SolverTimings.merge([payload, payload])
-        assert merged == SolverTimings(qbp=2.0, gfm=2.0, gkl=2.0)
-
-    def test_merge_skips_none_entries(self):
-        merged = SolverTimings.merge([None, SolverTimings(qbp=1.0, gfm=0.0, gkl=0.0)])
-        assert merged.qbp == 1.0
-
-    def test_merge_empty_is_zero(self):
-        assert SolverTimings.merge([]) == SolverTimings()
-
-    def test_merge_roundtrips_through_to_dict(self):
-        a = SolverTimings(qbp=1.0, gfm=2.0, gkl=3.0)
-        b = SolverTimings(qbp=4.0, gfm=5.0, gkl=6.0)
-        merged = SolverTimings.merge([a.to_dict(), b.to_dict()])
-        assert SolverTimings.from_dict(merged.to_dict()) == merged
-
-    def test_merge_aggregates_table_rows(self):
-        rows = run_table(2, workers=1, **RUN)
-        merged = SolverTimings.merge(r.timings for r in rows)
-        assert merged.total > 0.0

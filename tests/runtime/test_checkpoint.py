@@ -260,9 +260,12 @@ class TestSolveQbpResume:
         path = tmp_path / "qbp.json"
         budget = Budget()
 
-        def cancel_at_4(k, assignment, pen):
-            if k == 4:
-                budget.cancel()
+        class CancelAt4:
+            """Event sink that cancels the budget after iteration 4."""
+
+            def emit(self, event):
+                if event.kind == "iteration" and event.iteration == 4:
+                    budget.cancel()
 
         interrupted = solve_qbp(
             timed_problem,
@@ -271,7 +274,7 @@ class TestSolveQbpResume:
             seed=7,
             budget=budget,
             checkpointer=QbpCheckpointer(path, every=1),
-            callback=cancel_at_4,
+            telemetry=Telemetry(sinks=[CancelAt4()]),
         )
         assert interrupted.stop_reason == "cancelled"
         assert interrupted.iterations < 10

@@ -40,7 +40,6 @@ class TestSolveQbpDeterminism:
                 initial=feasible_start,
                 seed=321,
                 repair_iterates=True,
-                repair_moves=500,
             )
             for _ in range(2)
         ]

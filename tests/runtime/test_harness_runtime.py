@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -75,7 +76,7 @@ class TestDeadline:
         assert row.stop_reason == "deadline"
         # The emitted row still holds feasible incumbents for every solver.
         assert row.all_feasible
-        assert row.qbp_cost <= row.start_cost + 1e-9
+        assert row.solvers["qbp"].cost <= row.start_cost + 1e-9
 
 
 class TestTableResume:
@@ -97,9 +98,7 @@ class TestTableResume:
         ref, got = reference_rows[0], resumed[0]
         assert got.stop_reason == "completed"
         assert got.start_cost == ref.start_cost
-        assert got.qbp_cost == ref.qbp_cost
-        assert got.gfm_cost == ref.gfm_cost
-        assert got.gkl_cost == ref.gkl_cost
+        assert got.solver_costs() == ref.solver_costs()
 
     def test_completed_circuits_never_recomputed(
         self, workload, initials, tmp_path, monkeypatch
@@ -113,6 +112,30 @@ class TestTableResume:
         monkeypatch.setattr(harness, "run_circuit_experiment", explode)
         again = _run(workload, initials, checkpoint_dir=tmp_path)
         assert [r.to_dict() for r in again] == [r.to_dict() for r in first]
+
+    def test_parent_format_row_is_recomputed(self, workload, initials, tmp_path):
+        first = _run(workload, initials, checkpoint_dir=tmp_path)
+        path = tmp_path / "table3.json"
+        payload = json.loads(path.read_text())
+        for entry in payload["rows"]:
+            # The earlier row shape: flattened <solver>_<column> keys and a
+            # timings payload beside the nested cells.
+            for solver, cell in entry["solvers"].items():
+                for column, value in cell.items():
+                    entry[f"{solver}_{column}"] = value
+            entry["timings"] = None
+        path.write_text(json.dumps(payload))
+
+        params = {
+            "scale": SCALE,
+            "qbp_iterations": QBP_ITERATIONS,
+            "seed": 0,
+            "methods": ["qbp", "gfm", "gkl"],
+        }
+        assert TableCheckpoint(tmp_path, 3, params=params).completed("cktb") is None
+        again = _run(workload, initials, checkpoint_dir=tmp_path)
+        assert again[0].solver_costs() == first[0].solver_costs()
+        assert TableCheckpoint(tmp_path, 3, params=params).completed("cktb") == again[0]
 
     def test_parameter_mismatch_invalidates_record(
         self, workload, initials, tmp_path

@@ -22,6 +22,6 @@ def request_doc(circuit_doc) -> dict:
         "circuit": circuit_doc,
         "grid": [2, 2],
         "solver": "qbp",
-        "iterations": 5,
+        "config": {"iterations": 5},
         "seed": 11,
     }

@@ -41,6 +41,13 @@ class TestSolve:
         assert err.value.status == 400
         assert "nope" in str(err.value)
 
+    def test_top_level_iterations_is_a_400_naming_it(self, live, request_doc):
+        _, client = live
+        with pytest.raises(ServiceError) as err:
+            client.solve({**request_doc, "iterations": 5})
+        assert err.value.status == 400
+        assert "iterations" in str(err.value)
+
     def test_unknown_path_is_a_404(self, live):
         _, client = live
         with pytest.raises(ServiceError) as err:

@@ -12,7 +12,7 @@ class TestValidation:
         request = SolveRequest.from_dict(request_doc)
         assert request.solver == "qbp"
         assert request.grid == (2, 2)
-        assert request.iterations == 5
+        assert request.config["iterations"] == 5
 
     def test_rejects_non_object(self):
         with pytest.raises(BadRequestError, match="JSON object"):
@@ -43,8 +43,15 @@ class TestValidation:
         ],
     )
     def test_rejects_out_of_range_numbers(self, request_doc, field, value):
-        request_doc[field] = value
+        in_config = field in ("iterations", "restarts")
+        (request_doc["config"] if in_config else request_doc)[field] = value
         with pytest.raises(BadRequestError):
+            SolveRequest.from_dict(request_doc)
+
+    @pytest.mark.parametrize("field", ["iterations", "restarts"])
+    def test_rejects_top_level_config_fields(self, request_doc, field):
+        request_doc[field] = 5
+        with pytest.raises(BadRequestError, match=field):
             SolveRequest.from_dict(request_doc)
 
     def test_grid_accepts_string_form(self, request_doc):
@@ -105,6 +112,20 @@ class TestBuildProblem:
         request_doc["timing"] = {"num_components": 3, "constraints": []}
         with pytest.raises(BadRequestError, match="components"):
             SolveRequest.from_dict(request_doc).build_problem()
+
+    @pytest.mark.parametrize(
+        "constraints",
+        [[5], [[0, 1]], [[0, 1, None]], [[0, "x", 1.0]], [[0, 99, 1.0]]],
+    )
+    def test_malformed_timing_is_a_bad_request(self, request_doc, constraints):
+        request_doc["timing"] = {"num_components": 16, "constraints": constraints}
+        with pytest.raises(BadRequestError, match="timing"):
+            SolveRequest.from_dict(request_doc).build_problem()
+
+    def test_timing_without_count_is_for_the_circuit(self, request_doc):
+        request_doc["timing"] = {"constraints": [[0, 1, 4.0]]}
+        problem = SolveRequest.from_dict(request_doc).build_problem()
+        assert len(problem.timing) == 1
 
     def test_timing_constraints_are_applied(self, request_doc):
         request_doc["timing"] = {

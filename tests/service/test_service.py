@@ -42,8 +42,8 @@ class TestExecuteRequest:
         assert a == b
 
     def test_solver_choice_is_respected(self, request_doc):
-        # gfm has no "iterations" knob, so the legacy key must go too.
-        doc = {k: v for k, v in request_doc.items() if k != "iterations"}
+        # gfm has no "iterations" knob, so the qbp config must go too.
+        doc = {k: v for k, v in request_doc.items() if k != "config"}
         payload = execute_request(SolveRequest.from_dict({**doc, "solver": "gfm"}))
         assert payload["solver"] == "gfm"
 

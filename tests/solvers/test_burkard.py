@@ -106,8 +106,6 @@ class TestUnconstrainedSolve:
             solve_qbp(small_problem, iterations=0)
         with pytest.raises(ValueError):
             solve_qbp(small_problem, eta_mode="bogus")
-        with pytest.raises(ValueError, match="anchor_mode"):
-            solve_qbp(small_problem, anchor_mode="bogus")
 
     def test_rejects_capacity_infeasible_initial(self, paper_problem):
         bad = Assignment([0, 0, 0], 4)
@@ -133,37 +131,6 @@ class TestTimingSolve:
         for mode in ("burkard", "diagonal", "symmetric"):
             result = solve_qbp(timed_problem, iterations=5, seed=0, eta_mode=mode)
             assert result.eta_mode == mode
-
-    def test_callback_invoked(self, timed_problem):
-        seen = []
-        solve_qbp(
-            timed_problem,
-            iterations=4,
-            seed=0,
-            callback=lambda k, a, pen: seen.append((k, pen)),
-        )
-        assert [k for k, _ in seen] == [1, 2, 3, 4]
-
-    def test_callback_exception_does_not_kill_run(self, timed_problem, caplog):
-        def explode(k, assignment, pen):
-            raise RuntimeError("observer bug")
-
-        with caplog.at_level("WARNING", logger="repro.solvers.qbp.iteration"):
-            result = solve_qbp(timed_problem, iterations=4, seed=0, callback=explode)
-        assert result.iterations == 4  # every iteration still ran
-        assert result.stop_reason == "completed"
-        assert any("callback raised" in r.message for r in caplog.records)
-
-    def test_deterministic_unaffected_by_callback_failure(self, timed_problem):
-        clean = solve_qbp(timed_problem, iterations=4, seed=9)
-        noisy = solve_qbp(
-            timed_problem,
-            iterations=4,
-            seed=9,
-            callback=lambda k, a, pen: (_ for _ in ()).throw(ValueError("x")),
-        )
-        assert np.array_equal(clean.assignment.part, noisy.assignment.part)
-        assert clean.history == noisy.history
 
 
 class TestBootstrap:

@@ -11,8 +11,6 @@ from repro.tools.files import (
     assignment_from_dict,
     assignment_to_dict,
     load_any_circuit,
-    timing_from_dict,
-    timing_to_dict,
 )
 
 
@@ -45,17 +43,34 @@ class TestTimingRoundTrip:
         tc = TimingConstraints(5)
         tc.add(0, 1, 2.0, symmetric=True)
         tc.add(3, 4, 1.5)
-        restored = timing_from_dict(timing_to_dict(tc))
+        restored = TimingConstraints.from_dict(tc.to_dict())
         assert list(restored.items()) == list(tc.items())
         assert restored.num_components == 5
 
     def test_missing_count_rejected(self):
         with pytest.raises(ValueError, match="num_components"):
-            timing_from_dict({"constraints": []})
+            TimingConstraints.from_dict({"constraints": []})
 
     def test_malformed_entry_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
-            timing_from_dict({"num_components": 3, "constraints": [[0, 1]]})
+            TimingConstraints.from_dict({"num_components": 3, "constraints": [[0, 1]]})
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"num_components": 3, "constraints": [5]},
+            {"num_components": 3, "constraints": [[0, 1, None]]},
+            {"num_components": 3, "constraints": [[0, "a", 1.0]]},
+            {"num_components": 3, "constraints": [[0, 7, 1.0]]},
+            {"num_components": 3, "constraints": [[0, 1, -1.0]]},
+            {"num_components": "three", "constraints": []},
+            {"num_components": 3, "constraints": {"0": [0, 1, 1.0]}},
+            [[0, 1, 1.0]],
+        ],
+    )
+    def test_malformed_document_is_a_value_error(self, document):
+        with pytest.raises(ValueError):
+            TimingConstraints.from_dict(document)
 
 
 class TestAssignmentRoundTrip:

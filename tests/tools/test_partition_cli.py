@@ -7,7 +7,6 @@ import pytest
 from repro.netlist.generate import ClusteredCircuitSpec, generate_clustered_circuit
 from repro.netlist.io import save_circuit
 from repro.timing.constraints import TimingConstraints
-from repro.tools.files import timing_to_dict
 from repro.tools.partition import main, parse_grid
 
 
@@ -43,7 +42,7 @@ class TestMain:
                 "2x2",
                 "--solver",
                 "qbp",
-                "--iterations",
+                "--qbp-iterations",
                 "10",
                 "--output",
                 str(out),
@@ -63,8 +62,8 @@ class TestMain:
         def run(workers, out_name):
             out = tmp_path / out_name
             args = [
-                str(path), "--grid", "2x2", "--iterations", "5",
-                "--restarts", "3", "--seed", "1", "--output", str(out),
+                str(path), "--grid", "2x2", "--qbp-iterations", "5",
+                "--qbp-restarts", "3", "--seed", "1", "--output", str(out),
             ]
             if workers is not None:
                 args += ["--workers", str(workers)]
@@ -78,13 +77,23 @@ class TestMain:
 
     def test_checkpoint_with_restarts_rejected(self, circuit_file, tmp_path, capsys):
         path, _ = circuit_file
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(
                 [
-                    str(path), "--restarts", "2",
+                    str(path), "--qbp-restarts", "2",
                     "--checkpoint", str(tmp_path / "c.json"),
                 ]
             )
+        assert exc.value.code == 2
+        assert "--qbp-restarts 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--iterations", "--restarts"])
+    def test_top_level_qbp_flags_rejected(self, circuit_file, flag, capsys):
+        path, _ = circuit_file
+        with pytest.raises(SystemExit) as exc:
+            main([str(path), flag, "5"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_bad_workers_rejected(self, circuit_file, capsys):
         path, _ = circuit_file
@@ -110,7 +119,7 @@ class TestMain:
         tc = TimingConstraints(circuit.num_components)
         tc.add(0, 1, 2.0, symmetric=True)
         timing_path = tmp_path / "timing.json"
-        timing_path.write_text(json.dumps(timing_to_dict(tc)))
+        timing_path.write_text(json.dumps(tc.to_dict()))
         code = main(
             [
                 str(path),
@@ -120,12 +129,31 @@ class TestMain:
                 str(timing_path),
                 "--solver",
                 "qbp",
-                "--iterations",
+                "--qbp-iterations",
                 "5",
             ]
         )
         assert code == 0
         assert "feasible" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            "not json",
+            '{"num_components": 24, "constraints": [5]}',
+            '{"num_components": 24, "constraints": [[0, 1, null]]}',
+        ],
+    )
+    def test_bad_timing_file_is_a_usage_error(
+        self, circuit_file, tmp_path, document, capsys
+    ):
+        path, _ = circuit_file
+        timing_path = tmp_path / "bad.json"
+        timing_path.write_text(document)
+        with pytest.raises(SystemExit) as exc:
+            main([str(path), "--grid", "2x2", "--timing", str(timing_path)])
+        assert exc.value.code == 2
+        assert "bad --timing file" in capsys.readouterr().err
 
     def test_explicit_capacity(self, circuit_file):
         path, circuit = circuit_file
