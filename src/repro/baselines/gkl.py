@@ -145,11 +145,13 @@ def _run_pass(
     best_cumulative = 0.0
     best_prefix = 0
     limit = n // 2 if max_swaps is None else min(n // 2, max_swaps)
+    # (j1, j2) and (j2, j1) are one swap: scan the upper triangle only.
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
 
     while len(trail) < limit:
         if budget is not None and budget.check() is not None:
             break
-        pair = _best_swap(engine, locked)
+        pair = _best_swap(engine, locked, upper)
         if pair is None:
             break
         j1, j2, delta = pair
@@ -167,9 +169,9 @@ def _run_pass(
 
 
 def _best_swap(
-    engine: DeltaCache, locked: np.ndarray
+    engine: DeltaCache, locked: np.ndarray, upper: np.ndarray
 ) -> Optional[Tuple[int, int, float]]:
-    """Best feasible swap among unlocked pairs, exactly validated.
+    """Best feasible swap among unlocked pairs of ``upper``, exactly validated.
 
     The vectorised masks narrow candidates; because the timing mask is
     approximate for mutually-constrained pairs, the cheapest candidates
@@ -183,8 +185,7 @@ def _best_swap(
     mask &= ~same
     mask[locked, :] = False
     mask[:, locked] = False
-    # Keep the upper triangle only: (j1, j2) and (j2, j1) are one swap.
-    mask &= np.triu(np.ones((n, n), dtype=bool), k=1)
+    mask &= upper
     if not mask.any():
         return None
 

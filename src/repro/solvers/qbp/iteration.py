@@ -466,7 +466,8 @@ def _solve_gap_graceful(
     penalties and the feasible-merge projection absorb that).  Returns
     ``None`` only when even the plain GAP finds no capacity-feasible
     assignment.  :class:`BudgetExceededError` from an exhausted shared
-    budget propagates so the caller stops with its incumbent.
+    budget propagates so the caller stops with its incumbent.  With
+    telemetry on, each success bumps ``gap.won.<rung>.<criterion>``.
     """
 
     def rung(site: str, **kwargs) -> Attempt:
@@ -490,9 +491,14 @@ def _solve_gap_graceful(
         name="gap", telemetry=telemetry,
     )
     try:
-        return supervisor.run().value
+        outcome = supervisor.run()
     except SupervisorExhaustedError:
         return None
+    if telemetry is not None and telemetry.enabled:
+        # Which rung and which construction won, e.g. gap.won.trust.cost.
+        rung = outcome.attempt.removeprefix("gap.")
+        telemetry.counter(f"gap.won.{rung}.{outcome.value.criterion}").inc()
+    return outcome.value
 
 
 __all__ = ["BurkardResult", "ITERATE_REPAIR_MOVES", "solve_qbp"]

@@ -44,6 +44,31 @@ class TestSolveQbpEvents:
         snap = tel.metrics_snapshot()
         assert snap["counters"]["solver.iterations"] == float(len(iterations))
 
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_gap_wins_counted_per_rung_and_criterion(self, small_problem, tel, timed):
+        if timed:
+            workload = build_workload("ckta", scale=0.1)
+            problem, initial = workload.problem, workload.reference
+        else:
+            problem, initial = small_problem, None
+        solve_qbp(problem, iterations=6, initial=initial, seed=0, telemetry=tel)
+        won = {
+            name: count
+            for name, count in tel.metrics_snapshot()["counters"].items()
+            if name.startswith("gap.won.")
+        }
+        successes = [
+            s for s in tel.tracer.spans
+            if s.name in ("gap.trust", "gap.timing", "gap.plain")
+            and "error" not in s.attrs
+        ]
+        assert successes and sum(won.values()) == float(len(successes))
+        rungs = {name.split(".")[2] for name in won}
+        assert rungs == ({"trust"} if timed else {"plain"})
+        assert {name.split(".", 3)[3] for name in won} <= {
+            "cost", "cost_per_size", "best_fit_fallback",
+        }
+
     def test_solve_span_records_stop_reason(self, small_problem, tel):
         solve_qbp(small_problem, iterations=4, seed=0, telemetry=tel)
         spans = {s.name: s for s in tel.tracer.spans}

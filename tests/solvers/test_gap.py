@@ -124,6 +124,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             solve_gap(np.zeros((2, 2)), np.ones(2), np.array([-1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_cost_rejected(self, bad):
+        # Item 0 fits only partition 1, and both its costs are non-finite:
+        # the regret order used to rank partition 0 first and the
+        # construction re-queued the item forever.
+        cost = np.array([[bad, 1.0], [bad, 2.0]])
+        with pytest.raises(ValueError, match="finite"):
+            solve_gap(cost, [5.0, 5.0], [4.0, 10.0], improve=False)
+
     def test_unknown_criterion(self):
         with pytest.raises(ValueError, match="criterion"):
             solve_gap(np.zeros((2, 2)), np.ones(2), np.full(2, 2.0), criteria=("bogus",))
